@@ -26,8 +26,7 @@ from .loss import (
     batch_stat_penalty,
     g_r,
     h_r,
-    quantile_loss,
-    quantile_loss_grad,
+    quantile_loss_on_points,
     select_references,
 )
 from .oracles import (
@@ -76,8 +75,7 @@ __all__ = [
     "phi",
     "phi_loss",
     "quantile_index",
-    "quantile_loss",
-    "quantile_loss_grad",
+    "quantile_loss_on_points",
     "refresh_snapshot",
     "select_references",
     "sgd_step",

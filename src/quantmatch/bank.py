@@ -14,73 +14,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COINCIDENCE_EPS, DimensionMismatchError, PointCloud
-from .loss import ReferenceSet
+from .geometry import DimensionMismatchError, PointCloud
+from .loss import ReferenceSet, unit_directions
 from .oracles import enumerate_batches
 from .rng import SplitMix64
 
 
 @dataclass
 class MemoryBank:
-    """Cached per-sample features and per-reference snapshot averages."""
+    """Snapshot features and per-reference snapshot averages."""
 
-    features: np.ndarray           # (n, d) adapted features at last touch
     snapshot_features: np.ndarray  # (n, d) adapted features at theta_snap
     snapshot_avgs: np.ndarray      # (R, d) per-reference mean unit vectors at theta_snap
-    epoch_of_snapshot: int = 0
 
 
-def per_sample_units(points: np.ndarray, ref_points: np.ndarray, eps: float = COINCIDENCE_EPS) -> np.ndarray:
+def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
     """(R, n, d) unit vectors from each point toward each reference.
 
     Coincident pairs contribute a zero vector without renormalization; this
     keeps every batch/population average linear in the per-sample terms, so
     the control-variate cancellation and unbiasedness hold exactly.
     """
-    diff = ref_points[:, None, :] - points[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    mask = dist >= eps
-    units = diff / np.where(mask, dist, 1.0)[:, :, None]
-    units[~mask] = 0.0
+    units, _, _ = unit_directions(points, ref_points)
     return units
 
 
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
     units = per_sample_units(adapted.points, refs.quantiles)
-    return MemoryBank(
-        features=adapted.points.copy(),
-        snapshot_features=adapted.points.copy(),
-        snapshot_avgs=units.mean(axis=1),
-        epoch_of_snapshot=0,
-    )
+    return MemoryBank(snapshot_features=adapted.points.copy(), snapshot_avgs=units.mean(axis=1))
 
 
 def refresh_snapshot(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
     """Recompute the snapshot at the current parameters."""
-    if adapted.n != bank.features.shape[0]:
+    if adapted.n != bank.snapshot_features.shape[0]:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
-    units = per_sample_units(adapted.points, refs.quantiles)
-    return MemoryBank(
-        features=adapted.points.copy(),
-        snapshot_features=adapted.points.copy(),
-        snapshot_avgs=units.mean(axis=1),
-        epoch_of_snapshot=bank.epoch_of_snapshot + 1,
-    )
+    return initialize_bank(adapted, refs)
 
 
-def control_variate_estimate(
-    bank: MemoryBank,
-    batch: np.ndarray,
-    current_h: np.ndarray,
-    snapshot_h: np.ndarray,
-) -> np.ndarray:
+def control_variate_estimate(bank: MemoryBank, current_h: np.ndarray, snapshot_h: np.ndarray) -> np.ndarray:
     """Per-reference estimate of the population average at the current parameters."""
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("batch is empty")
-    n = bank.snapshot_features.shape[0]
-    if batch.min() < 0 or batch.max() >= n:
-        raise IndexError("batch index out of range")
     if current_h.shape != bank.snapshot_avgs.shape or snapshot_h.shape != bank.snapshot_avgs.shape:
         raise DimensionMismatchError("per-reference batch averages have wrong shape")
     # associated so identical batch terms cancel exactly
@@ -135,7 +107,6 @@ def estimator_variance(
     mode: str = "exhaustive",
     draws: int = 10_000,
     seed: int = 0,
-    bank: MemoryBank | None = None,
 ) -> EstimatorDiagnostics:
     """Measured variance of the crude and control-variate estimators.
 

@@ -130,22 +130,43 @@ def g_r(avg, u_r) -> float:
     return float(np.sum((avg - u_r) ** 2))
 
 
-def index_averages(points: np.ndarray, ref_points: np.ndarray, eps: float = COINCIDENCE_EPS):
-    """Per-reference averaged unit vectors from the points toward each reference.
+def unit_directions(points: np.ndarray, ref_points: np.ndarray):
+    """Unit vectors from each point toward each reference, for the loss and the bank.
 
-    Returns (avgs, dist, units, mask): avgs is (R, d) with coincident pairs
-    excluded and the mean renormalized by the surviving count; units holds
-    the (R, m, d) unit vectors with zero rows at exclusions.
+    Returns (units, dist, mask): units is (R, m, d) with zero rows where the
+    point coincides with the reference (dist < COINCIDENCE_EPS), dist is the
+    (R, m) distance and mask marks the pairs that are kept.
     """
     diff = ref_points[:, None, :] - points[None, :, :]          # (R, m, d)
     dist = np.linalg.norm(diff, axis=2)                          # (R, m)
-    mask = dist >= eps
+    mask = dist >= COINCIDENCE_EPS
+    units = diff / np.where(mask, dist, 1.0)[:, :, None]
+    units[~mask] = 0.0
+    return units, dist, mask
+
+
+def direction_point_grads(units: np.ndarray, resid: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """-sum_r scale[r, j] * (I - v v^T) resid[r] for v = units[r, j], one row per point.
+
+    This is the point gradient of a loss in the residuals of averaged unit
+    vectors, since d v / d x_j = -(I - v v^T) / dist_rj.  The caller's (R, m)
+    scale carries 1/dist_rj, the averaging weight and the loss's own factor.
+    """
+    dots = np.einsum("rjd,rd->rj", units, resid)                 # (R, m)
+    contrib = resid[:, None, :] - units * dots[:, :, None]       # (R, m, d)
+    return -(contrib * scale[:, :, None]).sum(axis=0)
+
+
+def index_averages(points: np.ndarray, ref_points: np.ndarray):
+    """Per-reference averaged unit vectors from the points toward each reference.
+
+    Returns (avgs, dist, units, mask): avgs is (R, d) with coincident pairs
+    excluded and the mean renormalized by the surviving count.
+    """
+    units, dist, mask = unit_directions(points, ref_points)
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise DegenerateCloudError("a reference coincides with every adapted point")
-    safe = np.where(mask, dist, 1.0)
-    units = diff / safe[:, :, None]
-    units[~mask] = 0.0
     avgs = units.sum(axis=1) / counts[:, None]
     return avgs, dist, units, mask
 
@@ -180,14 +201,21 @@ def batch_stat_penalty_grad(adapted, source_mean, source_std) -> np.ndarray:
     return grad
 
 
-def _loss_and_grad(
+def quantile_loss_on_points(
     points: np.ndarray,
     refs: ReferenceSet,
-    reg_weight: float,
-    source_mean,
-    source_std,
-    want_grad: bool,
-):
+    reg_weight: float = 0.0,
+    source_mean=None,
+    source_std=None,
+    want_grad: bool = True,
+) -> tuple[LossBreakdown, np.ndarray | None]:
+    """Mean squared index discrepancy over the references, plus optional penalty.
+
+    Takes the adapted cloud as a raw (m, d) array; the gradient, one row per
+    point, is d(total)/d(point) and is None unless want_grad.
+    """
+    if points.ndim != 2 or points.shape[1] != refs.dim:
+        raise DimensionMismatchError("quantile_loss_on_points: dimension mismatch")
     avgs, dist, units, mask = index_averages(points, refs.quantiles)
     resid = avgs - refs.target_indices                           # (R, d)
     per_reference = np.sum(resid**2, axis=1)
@@ -201,53 +229,10 @@ def _loss_and_grad(
     grads = None
     if want_grad:
         counts = mask.sum(axis=1)
-        # d avg_r / d x_j = -(I - v v^T) / (count_r * dist_rj) for unit v = units[r, j]
-        dots = np.einsum("rjd,rd->rj", units, resid)             # (R, m)
         scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
         scale *= 2.0 / refs.count
-        contrib = resid[:, None, :] - units * dots[:, :, None]   # (R, m, d)
-        grads = -(contrib * scale[:, :, None]).sum(axis=0)
+        grads = direction_point_grads(units, resid, scale)
         if reg_weight != 0.0:
             grads += reg_weight * batch_stat_penalty_grad(points, source_mean, source_std)
 
     return LossBreakdown(total=total, per_reference=per_reference, regularizer=penalty), grads
-
-
-def quantile_loss(
-    adapted: PointCloud,
-    refs: ReferenceSet,
-    reg_weight: float = 0.0,
-    source_mean=None,
-    source_std=None,
-) -> LossBreakdown:
-    """Mean squared index discrepancy over the references, plus optional penalty."""
-    if adapted.dim != refs.dim:
-        raise DimensionMismatchError("quantile_loss: dimension mismatch")
-    breakdown, _ = _loss_and_grad(adapted.points, refs, reg_weight, source_mean, source_std, False)
-    return breakdown
-
-
-def quantile_loss_grad(
-    adapted: PointCloud,
-    refs: ReferenceSet,
-    reg_weight: float = 0.0,
-    source_mean=None,
-    source_std=None,
-) -> np.ndarray:
-    """d(total)/d(adapted point), one row per adapted point."""
-    if adapted.dim != refs.dim:
-        raise DimensionMismatchError("quantile_loss_grad: dimension mismatch")
-    _, grads = _loss_and_grad(adapted.points, refs, reg_weight, source_mean, source_std, True)
-    return grads
-
-
-def quantile_loss_on_points(
-    points: np.ndarray,
-    refs: ReferenceSet,
-    reg_weight: float = 0.0,
-    source_mean=None,
-    source_std=None,
-    want_grad: bool = True,
-) -> tuple[LossBreakdown, np.ndarray | None]:
-    """Loss (and optionally point gradients) on a raw (m, d) array (trainer hot path)."""
-    return _loss_and_grad(points, refs, reg_weight, source_mean, source_std, want_grad)

@@ -10,7 +10,6 @@ epochs.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,10 @@ from .geometry import PointCloud
 from .loss import (
     ReferenceSet,
     batch_stat_penalty_grad,
+    direction_point_grads,
     quantile_loss_on_points,
     select_references,
+    unit_directions,
 )
 from .oracles import MAX_EXACT_SIZE, Pairing, paired_mse, wasserstein2
 from .rng import SplitMix64
@@ -92,7 +93,6 @@ class EpochRecord:
     crude_var: float
     control_var: float
     grad_norm: float
-    wall_time: float
     flag: str = ""
 
 
@@ -107,7 +107,7 @@ class RunTrace:
         return np.asarray(vals, dtype=float)
 
     def to_csv(self, path) -> None:
-        """Deterministic trace; wall times stay out so reruns are byte-identical."""
+        """Deterministic trace, so reruns are byte-identical."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
@@ -171,6 +171,33 @@ def _variance_sample(adapted: np.ndarray, bank: MemoryBank | None, refs: Referen
     return crude, control
 
 
+def minibatch_point_grads(
+    yb: np.ndarray,
+    snap_yb: np.ndarray,
+    bank: MemoryBank,
+    refs: ReferenceSet,
+    reg_weight: float = 0.0,
+    source_mean=None,
+    source_std=None,
+) -> np.ndarray:
+    """Point gradients of mean_r ||estimate_r - u_r||^2 through the batch term.
+
+    yb holds the batch's adapted points at the current parameters and snap_yb
+    the same samples at the snapshot; estimate_r is the control-variate
+    estimate of the population average, so only yb's own units carry gradient.
+    """
+    b = yb.shape[0]
+    units, dist, mask = unit_directions(yb, refs.quantiles)           # (R, b, d)
+    snap_units = per_sample_units(snap_yb, refs.quantiles)
+    estimate = control_variate_estimate(bank, units.mean(axis=1), snap_units.mean(axis=1))
+    resid = estimate - refs.target_indices                             # (R, d)
+    scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
+    point_grads = direction_point_grads(units, resid, scale)
+    if reg_weight != 0.0 and b >= 2:
+        point_grads += reg_weight * batch_stat_penalty_grad(yb, source_mean, source_std)
+    return point_grads
+
+
 def evaluate_epoch(
     adapter: Adapter,
     fmap: FeatureMap,
@@ -211,7 +238,6 @@ def evaluate_epoch(
         crude_var=0.0,
         control_var=0.0,
         grad_norm=0.0,
-        wall_time=0.0,
         flag=flag,
     )
 
@@ -247,7 +273,7 @@ def train(
     bank: MemoryBank | None = None
     trace = RunTrace()
 
-    def eval_record(epoch: int, adapted_pts: np.ndarray, grad_norm: float, wall: float, flag: str) -> EpochRecord:
+    def eval_record(epoch: int, adapted_pts: np.ndarray, grad_norm: float, flag: str) -> EpochRecord:
         on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
         rec = evaluate_epoch(
             adapter,
@@ -265,14 +291,12 @@ def train(
         )
         rec.crude_var, rec.control_var = _variance_sample(adapted_pts, bank, refs, cfg.batch_size, n)
         rec.grad_norm = grad_norm
-        rec.wall_time = wall
         rec.flag = ";".join(x for x in (rec.flag, flag) if x)
         return rec
 
-    trace.records.append(eval_record(0, _adapted_points(adapter, fmap, target.points), 0.0, 0.0, ""))
+    trace.records.append(eval_record(0, _adapted_points(adapter, fmap, target.points), 0.0, ""))
 
     for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
         flag = ""
         grad_norm = 0.0
 
@@ -293,37 +317,17 @@ def train(
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = np.asarray(order[start : start + cfg.batch_size], dtype=int)
-                b = len(batch)
                 xb = target.points[batch]
                 transformed = adapter.forward_cloud(xb)
                 yb = fmap.forward_cloud(transformed)
-
-                cur_units = per_sample_units(yb, refs.quantiles)          # (R, b, d)
-                snap_units = per_sample_units(bank.snapshot_features[batch], refs.quantiles)
-                estimate = control_variate_estimate(
-                    bank, batch, cur_units.mean(axis=1), snap_units.mean(axis=1)
-                )
-                resid = estimate - refs.target_indices                     # (R, d)
-
-                # gradient of mean_r ||estimate_r - u_r||^2 through the batch term
-                dist = np.linalg.norm(refs.quantiles[:, None, :] - yb[None, :, :], axis=2)
-                mask = dist >= 1e-12
-                dots = np.einsum("rjd,rd->rj", cur_units, resid)
-                scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
-                point_grads = -((resid[:, None, :] - cur_units * dots[:, :, None]) * scale[:, :, None]).sum(axis=0)
-                if cfg.reg_weight != 0.0 and b >= 2:
-                    point_grads += cfg.reg_weight * batch_stat_penalty_grad(yb, src_mean, src_std)
-
+                point_grads = minibatch_point_grads(yb, bank.snapshot_features[batch], bank, refs, *reg_args)
                 param_grad = _chain_param_grad(adapter, fmap, xb, transformed, point_grads)
                 grad_norm = float(np.linalg.norm(param_grad))
                 try:
                     adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
                 except NonFiniteGradientError:
                     flag = "nonfinite_grad"
-                    continue
-                bank.features[batch] = fmap.forward_cloud(adapter.forward_cloud(xb))
 
-        wall = time.perf_counter() - t0
-        trace.records.append(eval_record(epoch, _adapted_points(adapter, fmap, target.points), grad_norm, wall, flag))
+        trace.records.append(eval_record(epoch, _adapted_points(adapter, fmap, target.points), grad_norm, flag))
 
     return adapter, trace

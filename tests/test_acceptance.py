@@ -204,7 +204,7 @@ def test_criterion_6_estimator_unbiasedness():
             for batch in enumerate_batches(n, b):
                 idx = np.asarray(batch)
                 acc = acc + control_variate_estimate(
-                    bank, idx, cur_units[:, idx, :].mean(axis=1), snap_units[:, idx, :].mean(axis=1)
+                    bank, cur_units[:, idx, :].mean(axis=1), snap_units[:, idx, :].mean(axis=1)
                 )
                 count += 1
             worst = max(worst, float(np.max(np.abs(acc / count - exact))))

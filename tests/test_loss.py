@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantmatch import (
     PointCloud,
@@ -8,12 +9,11 @@ from quantmatch import (
     g_r,
     h_r,
     quantile_index,
-    quantile_loss,
-    quantile_loss_grad,
+    quantile_loss_on_points,
     select_references,
 )
-from quantmatch.geometry import DegenerateCloudError
-from quantmatch.loss import batch_stat_penalty_grad, quantile_loss_on_points
+from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
+from quantmatch.loss import batch_stat_penalty_grad
 from quantmatch.rng import SplitMix64
 
 
@@ -25,6 +25,19 @@ def labeled_source(n_per_class, classes, d, seed=0):
         pts.append(center + rng.normals((n_per_class, d)))
         labels.extend([cls] * n_per_class)
     return PointCloud(np.concatenate(pts)), np.asarray(labels)
+
+
+def loss_total(points, refs):
+    breakdown, _ = quantile_loss_on_points(points, refs, want_grad=False)
+    return breakdown.total
+
+
+def random_rotation(rng, d):
+    q, r = np.linalg.qr(rng.normals((d, d)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def brute_force_loss(adapted_pts, refs):
@@ -90,20 +103,20 @@ class TestQuantileLoss:
     def test_zero_on_identical_clouds(self):
         source, _ = labeled_source(15, 2, 2, seed=8)
         refs = select_references(source, 6, seed=1)
-        assert quantile_loss(source, refs).total == 0.0
+        assert loss_total(source.points, refs) == 0.0
 
     def test_zero_on_permutation(self):
         source, _ = labeled_source(15, 2, 3, seed=9)
         refs = select_references(source, 8, seed=2)
         rng = SplitMix64.stream("perm", 1)
         permuted = PointCloud(source.points[rng.permutation(source.n)])
-        assert quantile_loss(permuted, refs).total <= 1e-12
+        assert loss_total(permuted.points, refs) <= 1e-12
 
     def test_matches_double_loop_oracle(self):
         source, _ = labeled_source(20, 2, 2, seed=10)
         refs = select_references(source, 5, seed=3)
         adapted = PointCloud(source.points + np.array([10.0, 0.0]))
-        got = quantile_loss(adapted, refs)
+        got, _ = quantile_loss_on_points(adapted.points, refs, want_grad=False)
         want = brute_force_loss(adapted.points, refs)
         assert got.total > 0
         assert got.total == pytest.approx(want, abs=1e-12)
@@ -115,24 +128,46 @@ class TestQuantileLoss:
         adapted = PointCloud(rng.normals((25, 3)) + 0.3)
         mean = source.points.mean(axis=0)
         std = source.points.std(axis=0, ddof=1)
-        bd = quantile_loss(adapted, refs, reg_weight=0.1, source_mean=mean, source_std=std)
+        bd, _ = quantile_loss_on_points(adapted.points, refs, 0.1, mean, std, want_grad=False)
         assert np.all(bd.per_reference >= 0)
         assert bd.total == pytest.approx(bd.per_reference.mean() + 0.1 * bd.regularizer, abs=1e-10)
 
     def test_nonnegative(self):
+        # indices lie in the unit ball, so each squared discrepancy is at most 4
         rng = SplitMix64.stream("nonneg", 3)
         for _ in range(20):
             source = PointCloud(rng.normals((12, 2)))
             refs = select_references(source, 4, seed=5)
             adapted = PointCloud(rng.normals((12, 2)))
-            assert quantile_loss(adapted, refs).total >= 0
+            assert 0 <= loss_total(adapted.points, refs) <= 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_invariant_under_joint_similarity(self, seed):
+        rng = SplitMix64(seed)
+        d = 2 + rng.randbelow(4)
+        source = rng.normals((12, d))
+        adapted = rng.normals((12, d)) + 0.4
+        want = loss_total(adapted, select_references(PointCloud(source), 4, seed=seed))
+        rot = random_rotation(rng, d)
+        shift = 5.0 * rng.normals(d)
+        factor = 0.1 + 10.0 * rng.uniform()
+        for move in (lambda x: x @ rot.T, lambda x: x + shift, lambda x: factor * x):
+            refs = select_references(PointCloud(move(source)), 4, seed=seed)
+            assert loss_total(move(adapted), refs) == pytest.approx(want, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        source, _ = labeled_source(6, 2, 2, seed=13)
+        refs = select_references(source, 4, seed=0)
+        with pytest.raises(DimensionMismatchError):
+            quantile_loss_on_points(np.zeros((6, 3)), refs)
 
 
 class TestQuantileLossGrad:
     def test_zero_at_global_minimum(self):
         source, _ = labeled_source(12, 2, 2, seed=11)
         refs = select_references(source, 6, seed=6)
-        grads = quantile_loss_grad(source, refs)
+        grads = quantile_loss_on_points(source.points, refs)[1]
         np.testing.assert_allclose(grads, 0.0, atol=1e-14)
 
     def test_matches_finite_differences(self):
@@ -144,10 +179,9 @@ class TestQuantileLossGrad:
             adapted = rng.normals((n, d)) + 0.5
 
             def flat_loss(flat):
-                bd, _ = quantile_loss_on_points(flat.reshape(n, d), refs, want_grad=False)
-                return bd.total
+                return loss_total(flat.reshape(n, d), refs)
 
-            analytic = quantile_loss_grad(PointCloud(adapted), refs)
+            analytic = quantile_loss_on_points(adapted, refs)[1]
             numeric = finite_diff_grad(flat_loss, adapted.ravel())
             rel = np.max(np.abs(analytic.ravel() - numeric)) / (1.0 + np.max(np.abs(analytic)))
             assert rel < 1e-4
@@ -156,7 +190,7 @@ class TestQuantileLossGrad:
         source, _ = labeled_source(20, 2, 2, seed=12)
         refs = select_references(source, 8, seed=8)
         adapted = PointCloud(source.points + np.array([3.0, 0.0]))
-        grads = quantile_loss_grad(adapted, refs)
+        grads = quantile_loss_on_points(adapted.points, refs)[1]
         assert grads[:, 0].mean() > 0  # descent direction points back toward the source
 
     def test_gradient_with_regularizer(self):
@@ -174,7 +208,7 @@ class TestQuantileLossGrad:
             )
             return bd.total
 
-        analytic = quantile_loss_grad(PointCloud(adapted), refs, 0.3, mean, std)
+        analytic = quantile_loss_on_points(adapted, refs, 0.3, mean, std)[1]
         numeric = finite_diff_grad(flat_loss, adapted.ravel())
         rel = np.max(np.abs(analytic.ravel() - numeric)) / (1.0 + np.max(np.abs(analytic)))
         assert rel < 1e-4
@@ -222,7 +256,7 @@ class TestComposite:
                     for z_r, u_r in zip(refs.quantiles, refs.target_indices)
                 ]
             )
-            assert composite == pytest.approx(quantile_loss(adapted, refs).total, abs=1e-12)
+            assert composite == pytest.approx(loss_total(adapted.points, refs), abs=1e-12)
 
 
 class TestBatchStatPenalty:

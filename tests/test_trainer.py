@@ -6,16 +6,19 @@ from quantmatch import (
     PointCloud,
     TrainConfig,
     apply_corruption,
+    enumerate_batches,
     evaluate_epoch,
+    initialize_bank,
     make_adapter,
     make_feature_map,
+    quantile_loss_on_points,
     select_references,
     sgd_step,
     six_blobs,
     train,
     two_moons,
 )
-from quantmatch.trainer import ConfigError, NonFiniteGradientError
+from quantmatch.trainer import ConfigError, NonFiniteGradientError, minibatch_point_grads
 from quantmatch.rng import SplitMix64
 
 CORRUPTION = Corruption.linear([[1.25, 0.2], [-0.15, 0.9]])
@@ -209,3 +212,36 @@ class TestEvaluateEpoch:
                              wasserstein_max_size=100)
         assert rec.wasserstein2 is None
         assert "wasserstein_skipped" in rec.flag
+
+
+class TestMinibatchGradient:
+    @pytest.mark.parametrize("kind", ["affine", "mlp1"])
+    def test_batch_average_equals_full_batch_at_snapshot(self, kind):
+        # at theta = theta_snap every batch's control-variate estimate is the
+        # population average, and each point lies in b/n of the batches, so
+        # the mean over all C(n, b) batch gradients is the full-batch gradient
+        rng = SplitMix64.stream("minibatch_oracle", 0)
+        n, b, d = 8, 3, 2
+        source = PointCloud(rng.normals((n, 3)))
+        target = rng.normals((n, d)) + 0.5
+        refs = select_references(source, 4, seed=1)
+        fmap = make_feature_map("fixed_mlp", d, out_dim=3, seed=2)
+        adapter = make_adapter(kind, d, hidden=5, seed=3)
+        adapter = adapter.with_params(adapter.params + 0.1 * rng.normals(adapter.n_params))
+
+        def param_grad(x, point_grads_of):
+            transformed = adapter.forward_cloud(x)
+            adapted = fmap.forward_cloud(transformed)
+            upstream = fmap.backward_cloud(transformed, point_grads_of(adapted))
+            return adapter.backward_cloud(x, upstream)[0]
+
+        full = param_grad(target, lambda y: quantile_loss_on_points(y, refs)[1])
+        bank = initialize_bank(PointCloud(fmap.forward_cloud(adapter.forward_cloud(target))), refs)
+        batches = [np.asarray(batch) for batch in enumerate_batches(n, b)]
+        assert len(batches) == 56
+        mean = sum(
+            param_grad(target[idx], lambda y, idx=idx: minibatch_point_grads(y, bank.snapshot_features[idx], bank, refs))
+            for idx in batches
+        ) / len(batches)
+        assert np.max(np.abs(full)) > 1e-3
+        np.testing.assert_allclose(mean, full, rtol=0, atol=1e-12)
