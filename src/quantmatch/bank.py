@@ -22,10 +22,10 @@ from .rng import SplitMix64
 
 @dataclass
 class MemoryBank:
-    """Snapshot features and per-reference snapshot averages."""
+    """Snapshot unit vectors and their per-reference averages."""
 
-    snapshot_features: np.ndarray  # (n, d) adapted features at theta_snap
-    snapshot_avgs: np.ndarray      # (R, d) per-reference mean unit vectors at theta_snap
+    snapshot_units: np.ndarray  # (R, n, d) unit vectors toward each reference at theta_snap
+    snapshot_avgs: np.ndarray   # (R, d) per-reference mean unit vectors at theta_snap
 
 
 def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
@@ -41,12 +41,12 @@ def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
 
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
     units = per_sample_units(adapted.points, refs.quantiles)
-    return MemoryBank(snapshot_features=adapted.points.copy(), snapshot_avgs=units.mean(axis=1))
+    return MemoryBank(snapshot_units=units, snapshot_avgs=units.mean(axis=1))
 
 
 def refresh_snapshot(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
     """Recompute the snapshot at the current parameters."""
-    if adapted.n != bank.snapshot_features.shape[0]:
+    if adapted.n != bank.snapshot_units.shape[1]:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
     return initialize_bank(adapted, refs)
 

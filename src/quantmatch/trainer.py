@@ -82,6 +82,10 @@ class TrainConfig:
             raise ConfigError(f"reference_count must be in [1, {n_source}]")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
+        if self.wasserstein_every < 1:
+            raise ConfigError("wasserstein_every must be >= 1")
+        if self.wasserstein_max_size < 1:
+            raise ConfigError("wasserstein_max_size must be >= 1")
 
 
 @dataclass
@@ -159,12 +163,8 @@ def _chain_param_grad(
     return param_grad
 
 
-def _variance_sample(adapted: np.ndarray, bank: MemoryBank | None, refs: ReferenceSet, b: int, n: int):
-    """Closed-form crude/control variances at the current snapshot distance."""
-    if bank is None or b >= n:
-        return 0.0, 0.0
-    a_units = per_sample_units(adapted, refs.quantiles)
-    s_units = per_sample_units(bank.snapshot_features, refs.quantiles)
+def _variance_sample(a_units: np.ndarray, s_units: np.ndarray, b: int, n: int):
+    """Closed-form crude/control variances from the current and snapshot unit arrays."""
     sigma_a2, sigma_s2, sigma_as = population_moments(a_units, s_units)
     crude = lemma_variance(float(sigma_a2.mean()), n, b)
     control = lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
@@ -173,7 +173,7 @@ def _variance_sample(adapted: np.ndarray, bank: MemoryBank | None, refs: Referen
 
 def minibatch_point_grads(
     yb: np.ndarray,
-    snap_yb: np.ndarray,
+    batch: np.ndarray,
     bank: MemoryBank,
     refs: ReferenceSet,
     reg_weight: float = 0.0,
@@ -182,13 +182,14 @@ def minibatch_point_grads(
 ) -> np.ndarray:
     """Point gradients of mean_r ||estimate_r - u_r||^2 through the batch term.
 
-    yb holds the batch's adapted points at the current parameters and snap_yb
-    the same samples at the snapshot; estimate_r is the control-variate
-    estimate of the population average, so only yb's own units carry gradient.
+    yb holds the adapted points, at the current parameters, of the samples
+    whose indices are `batch`; their snapshot units are read from the bank.
+    estimate_r is the control-variate estimate of the population average, so
+    only yb's own units carry gradient.
     """
     b = yb.shape[0]
     units, dist, mask = unit_directions(yb, refs.quantiles)           # (R, b, d)
-    snap_units = per_sample_units(snap_yb, refs.quantiles)
+    snap_units = bank.snapshot_units[:, batch]
     estimate = control_variate_estimate(bank, units.mean(axis=1), snap_units.mean(axis=1))
     resid = estimate - refs.target_indices                             # (R, d)
     scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
@@ -274,6 +275,8 @@ def train(
     trace = RunTrace()
 
     def eval_record(epoch: int, adapted_pts: np.ndarray, grad_norm: float, flag: str) -> EpochRecord:
+        """Record the epoch; in minibatch mode also refresh the bank for the next epoch when due."""
+        nonlocal bank
         on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
         rec = evaluate_epoch(
             adapter,
@@ -289,7 +292,14 @@ def train(
             source_mean=src_mean,
             source_std=src_std,
         )
-        rec.crude_var, rec.control_var = _variance_sample(adapted_pts, bank, refs, cfg.batch_size, n)
+        outgoing = bank
+        if not cfg.full_batch and epoch < cfg.epochs and epoch % cfg.snapshot_every == 0:
+            adapted = PointCloud(adapted_pts)
+            bank = initialize_bank(adapted, refs) if bank is None else refresh_snapshot(bank, adapted, refs)
+        if outgoing is not None and cfg.batch_size < n:
+            # the refreshed bank already holds the units at these parameters
+            a_units = bank.snapshot_units if bank is not outgoing else per_sample_units(adapted_pts, refs.quantiles)
+            rec.crude_var, rec.control_var = _variance_sample(a_units, outgoing.snapshot_units, cfg.batch_size, n)
         rec.grad_norm = grad_norm
         rec.flag = ";".join(x for x in (rec.flag, flag) if x)
         return rec
@@ -311,16 +321,13 @@ def train(
             except NonFiniteGradientError:
                 flag = "nonfinite_grad"
         else:
-            if bank is None or (epoch - 1) % cfg.snapshot_every == 0:
-                adapted_full = PointCloud(_adapted_points(adapter, fmap, target.points))
-                bank = refresh_snapshot(bank, adapted_full, refs) if bank is not None else initialize_bank(adapted_full, refs)
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = np.asarray(order[start : start + cfg.batch_size], dtype=int)
                 xb = target.points[batch]
                 transformed = adapter.forward_cloud(xb)
                 yb = fmap.forward_cloud(transformed)
-                point_grads = minibatch_point_grads(yb, bank.snapshot_features[batch], bank, refs, *reg_args)
+                point_grads = minibatch_point_grads(yb, batch, bank, refs, *reg_args)
                 param_grad = _chain_param_grad(adapter, fmap, xb, transformed, point_grads)
                 grad_norm = float(np.linalg.norm(param_grad))
                 try:

@@ -81,7 +81,7 @@ class TestRefreshSnapshot:
         bank1 = refresh_snapshot(initialize_bank(current, refs), current, refs)
         bank2 = refresh_snapshot(bank1, current, refs)
         np.testing.assert_array_equal(bank1.snapshot_avgs, bank2.snapshot_avgs)
-        np.testing.assert_array_equal(bank1.snapshot_features, bank2.snapshot_features)
+        np.testing.assert_array_equal(bank1.snapshot_units, bank2.snapshot_units)
 
     def test_small_parameter_step_moves_averages_little(self):
         # empirical Lipschitz probe: a small adapter step perturbs the
@@ -106,6 +106,21 @@ class TestRefreshSnapshot:
         _, refs, current = make_instance(9, n=25)
         bank = initialize_bank(current, refs)
         assert np.all(np.linalg.norm(bank.snapshot_avgs, axis=1) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_batch_slice_equals_batch_build(self, d):
+        # the minibatch step reads a batch's snapshot units out of the bank
+        # instead of rebuilding them, so both routes must agree bit for bit;
+        # the last point sits on a reference, so a masked zero row is covered
+        _, refs, current = make_instance(10 + d, n=30, d=d, ref_count=6)
+        current = PointCloud(np.vstack([current.points, refs.quantiles[2:3]]))
+        bank = initialize_bank(current, refs)
+        assert bank.snapshot_units.shape == (6, 31, d)
+        for idx in ((0, 1, 2), (30, 3, 17, 4), (5,), tuple(range(30, -1, -1))):
+            idx = np.asarray(idx)
+            np.testing.assert_array_equal(
+                bank.snapshot_units[:, idx], per_sample_units(current.points[idx], refs.quantiles)
+            )
 
 
 class TestEstimatorVariance:

@@ -101,6 +101,12 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "config"
 
+    def test_zero_wasserstein_every_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace("wasserstein_every = 5", "wasserstein_every = 0"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+
     def test_config_echoed_into_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", str(tiny_config), "--out", str(out)])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from quantmatch import (
     train,
     two_moons,
 )
+from quantmatch.bank import lemma_variance, per_sample_units, population_moments
 from quantmatch.trainer import ConfigError, NonFiniteGradientError, minibatch_point_grads
 from quantmatch.rng import SplitMix64
 
@@ -111,6 +114,10 @@ class TestTrainBasics:
             train(src, target.cloud, adapter, fmap, cfg_for(clean.n, batch_size=clean.n + 1, full_batch=False))
         with pytest.raises(ConfigError):
             train(src, target.cloud, adapter, fmap, cfg_for(clean.n, learning_rate=0.0))
+        with pytest.raises(ConfigError):
+            train(src, target.cloud, adapter, fmap, cfg_for(clean.n, wasserstein_every=0))
+        with pytest.raises(ConfigError):
+            train(src, target.cloud, adapter, fmap, cfg_for(clean.n, wasserstein_max_size=0))
 
     def test_trace_has_one_record_per_epoch_plus_baseline(self):
         clean, target, src, fmap = sixblobs_setup()
@@ -240,8 +247,36 @@ class TestMinibatchGradient:
         batches = [np.asarray(batch) for batch in enumerate_batches(n, b)]
         assert len(batches) == 56
         mean = sum(
-            param_grad(target[idx], lambda y, idx=idx: minibatch_point_grads(y, bank.snapshot_features[idx], bank, refs))
+            param_grad(target[idx], lambda y, idx=idx: minibatch_point_grads(y, idx, bank, refs))
             for idx in batches
         ) / len(batches)
         assert np.max(np.abs(full)) > 1e-3
         np.testing.assert_allclose(mean, full, rtol=0, atol=1e-12)
+
+
+class TestVarianceColumns:
+    # (snapshot_every, record k, epoch of the snapshot record k is measured against)
+    @pytest.mark.parametrize(
+        "snapshot_every, k, snap",
+        [(1, 1, 0), (1, 3, 2), (1, 4, 3), (2, 2, 0), (2, 3, 2), (2, 4, 2)],
+    )
+    def test_matches_units_rebuilt_from_shorter_runs(self, snapshot_every, k, snap):
+        # the batch stream is a deterministic prefix, so a run cut after j
+        # epochs ends at the parameters the longer run holds at epoch j
+        clean, target, src, fmap = sixblobs_setup(noise=0.1)
+        cfg = cfg_for(clean.n, epochs=4, batch_size=64, full_batch=False, snapshot_every=snapshot_every)
+        adapter = make_adapter("affine", 2)
+        _, trace = train(src, target.cloud, adapter, fmap, cfg)
+        refs = select_references(src, cfg.reference_count, cfg.seed)
+
+        def units_at(epochs):
+            theta = adapter if epochs == 0 else train(src, target.cloud, adapter, fmap, replace(cfg, epochs=epochs))[0]
+            return per_sample_units(fmap.forward_cloud(theta.forward_cloud(target.cloud.points)), refs.quantiles)
+
+        sigma_a2, sigma_s2, sigma_as = population_moments(units_at(k), units_at(snap))
+        n, b = target.n, cfg.batch_size
+        rec = trace.records[k]
+        assert rec.crude_var == lemma_variance(float(sigma_a2.mean()), n, b)
+        assert rec.control_var == lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
+        assert rec.control_var > 0
+        assert (trace.records[0].crude_var, trace.records[0].control_var) == (0.0, 0.0)
