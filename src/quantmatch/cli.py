@@ -52,28 +52,43 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _section(parser: configparser.ConfigParser, name: str) -> dict:
-    return dict(parser[name]) if parser.has_section(name) else {}
+# every section and key the builders below read; anything else is a mistake
+CONFIG_KEYS = {
+    "experiment": "name",
+    "dataset": "kind seed counts n noise_sigma",
+    "corruption": "kind seed matrix angle_deg offset sigma",
+    "adapter": "kind hidden seed init_rotation_deg",
+    "feature_map": "kind out_dim hidden seed",
+    "train": "epochs batch_size learning_rate momentum reference_count reg_weight seed snapshot_every full_batch"
+    " wasserstein_every",
+    "output": "dir",
+}
 
 
-def load_spec(path, out_override=None, seed_override=None, full_batch_override=False) -> ExperimentSpec:
+def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
 
-    exp = _section(parser, "experiment")
-    dataset = _section(parser, "dataset")
-    corruption = _section(parser, "corruption")
-    adapter = _section(parser, "adapter")
-    feature_map = _section(parser, "feature_map")
-    tr = _section(parser, "train")
-    output = _section(parser, "output")
+    unknown = []
+    for name in parser.sections():
+        if name not in CONFIG_KEYS:
+            unknown.append(f"[{name}]")
+        else:
+            unknown += [f"[{name}] {key}" for key in sorted(set(parser[name]) - set(CONFIG_KEYS[name].split()))]
+    if unknown:
+        raise ConfigError("unknown config names: " + ", ".join(unknown))
 
-    if "kind" not in dataset:
+    sections = {name: dict(parser[name]) if parser.has_section(name) else {} for name in CONFIG_KEYS}
+    exp, tr = sections["experiment"], sections["train"]
+    if "kind" not in sections["dataset"]:
         raise ConfigError("config needs [dataset] kind")
-    if "kind" not in corruption:
+    if "kind" not in sections["corruption"]:
         raise ConfigError("config needs [corruption] kind")
 
     try:
@@ -86,19 +101,19 @@ def load_spec(path, out_override=None, seed_override=None, full_batch_override=F
             reg_weight=float(tr.get("reg_weight", 0.0)),
             seed=int(seed_override if seed_override is not None else tr.get("seed", 0)),
             snapshot_every=int(tr.get("snapshot_every", 1)),
-            full_batch=full_batch_override or tr.get("full_batch", "false").lower() in ("1", "true", "yes"),
+            full_batch=tr.get("full_batch", "false").lower() in ("1", "true", "yes"),
             wasserstein_every=int(tr.get("wasserstein_every", 10)),
         )
     except ValueError as exc:
         raise ConfigError(f"bad [train] value: {exc}") from exc
 
-    out_dir = Path(out_override) if out_override else Path(output.get("dir", f"runs/{exp.get('name', path.stem)}"))
+    out_dir = Path(out_override or sections["output"].get("dir", f"runs/{exp.get('name', path.stem)}"))
     return ExperimentSpec(
         name=exp.get("name", path.stem),
-        dataset=dataset,
-        corruption=corruption,
-        adapter=adapter,
-        feature_map=feature_map,
+        dataset=sections["dataset"],
+        corruption=sections["corruption"],
+        adapter=sections["adapter"],
+        feature_map=sections["feature_map"],
         train=cfg,
         out_dir=out_dir,
     )
@@ -158,12 +173,16 @@ def _build_feature_map(cfg: dict, in_dim: int) -> FeatureMap:
 def run_experiment(spec: ExperimentSpec) -> int:
     """Train per the spec and write trace.csv, summary.json, and cloud dumps."""
     started = time.perf_counter()
-    clean = _build_dataset(spec.dataset)
-    corruption = _build_corruption(spec.corruption)
-    corrupted = apply_corruption(clean, corruption, seed=int(spec.corruption.get("seed", 0)))
-
-    fmap = _build_feature_map(spec.feature_map, clean.cloud.dim)
-    adapter = _build_adapter(spec.adapter, corrupted.cloud.dim)
+    try:
+        clean = _build_dataset(spec.dataset)
+        corruption = _build_corruption(spec.corruption)
+        corrupted = apply_corruption(clean, corruption, seed=int(spec.corruption.get("seed", 0)))
+        fmap = _build_feature_map(spec.feature_map, clean.cloud.dim)
+        adapter = _build_adapter(spec.adapter, corrupted.cloud.dim)
+    except KeyError as exc:
+        raise ConfigError(f"config is missing {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
     source_feats = PointCloud(fmap.forward_cloud(clean.cloud.points))
 
     cfg = spec.train
@@ -335,12 +354,7 @@ def verify_wasserstein(seed: int, lines: list[str]) -> bool:
 
 def cmd_run(args) -> int:
     try:
-        spec = load_spec(args.config, args.out, args.seed, args.full_batch)
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}))
-        return EXIT_USAGE
-    try:
-        return run_experiment(spec)
+        return run_experiment(load_spec(args.config, args.out, args.seed))
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}))
         return EXIT_USAGE
@@ -376,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--seed", type=int, default=None, help="override [train] seed")
-    run_p.add_argument("--full-batch", action="store_true", dest="full_batch")
     run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="run a property suite")

@@ -94,9 +94,9 @@ class EpochRecord:
     quantile_loss: float
     paired_mse: float | None
     wasserstein2: float | None
-    crude_var: float
-    control_var: float
-    grad_norm: float
+    crude_var: float = 0.0
+    control_var: float = 0.0
+    grad_norm: float = 0.0
     flag: str = ""
 
 
@@ -145,10 +145,6 @@ def sgd_step(
         velocity = np.zeros_like(adapter.params)
     velocity = cfg.momentum * velocity + grads
     return adapter.with_params(adapter.params - cfg.learning_rate * velocity), velocity
-
-
-def _adapted_points(adapter: Adapter, fmap: FeatureMap, target_pts: np.ndarray) -> np.ndarray:
-    return fmap.forward_cloud(adapter.forward_cloud(target_pts))
 
 
 def _chain_param_grad(
@@ -200,10 +196,8 @@ def minibatch_point_grads(
 
 
 def evaluate_epoch(
-    adapter: Adapter,
-    fmap: FeatureMap,
+    adapted: np.ndarray,
     source_feats: PointCloud,
-    target: PointCloud,
     refs: ReferenceSet,
     pairing: Pairing | None = None,
     epoch: int = 0,
@@ -213,8 +207,7 @@ def evaluate_epoch(
     source_mean=None,
     source_std=None,
 ) -> EpochRecord:
-    """Full-data metrics for one epoch; the Wasserstein oracle runs on cadence."""
-    adapted = _adapted_points(adapter, fmap, target.points)
+    """Full-data metrics of the adapted (n, d) cloud; the Wasserstein oracle runs on cadence."""
     breakdown, _ = quantile_loss_on_points(
         adapted, refs, reg_weight, source_mean, source_std, want_grad=False
     )
@@ -236,9 +229,6 @@ def evaluate_epoch(
         quantile_loss=breakdown.total,
         paired_mse=mse,
         wasserstein2=w2,
-        crude_var=0.0,
-        control_var=0.0,
-        grad_norm=0.0,
         flag=flag,
     )
 
@@ -255,7 +245,8 @@ def train(
     """Run quantile matching and return the adapter plus the per-epoch trace.
 
     The trace carries one record per epoch plus a pre-training record at
-    epoch 0, so initial/final metric ratios are well-defined.
+    epoch 0, so initial/final metric ratios are well-defined. Each record
+    forwards the full cloud once, and the next full-batch step reuses it.
     """
     cfg.validate(source_feats.n, target.n)
     if fmap.out_dim != source_feats.dim:
@@ -274,15 +265,40 @@ def train(
     bank: MemoryBank | None = None
     trace = RunTrace()
 
-    def eval_record(epoch: int, adapted_pts: np.ndarray, grad_norm: float, flag: str) -> EpochRecord:
-        """Record the epoch; in minibatch mode also refresh the bank for the next epoch when due."""
-        nonlocal bank
+    for epoch in range(cfg.epochs + 1):
+        flag = ""
+        grad_norm = 0.0
+
+        if epoch > 0 and cfg.full_batch:
+            # the previous record's forward is at the current parameters
+            _, point_grads = quantile_loss_on_points(adapted, refs, *reg_args)
+            param_grad = _chain_param_grad(adapter, fmap, target.points, transformed, point_grads)
+            grad_norm = float(np.linalg.norm(param_grad))
+            try:
+                adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
+            except NonFiniteGradientError:
+                flag = "nonfinite_grad"
+        elif epoch > 0:
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = np.asarray(order[start : start + cfg.batch_size], dtype=int)
+                xb = target.points[batch]
+                tb = adapter.forward_cloud(xb)
+                yb = fmap.forward_cloud(tb)
+                point_grads = minibatch_point_grads(yb, batch, bank, refs, *reg_args)
+                param_grad = _chain_param_grad(adapter, fmap, xb, tb, point_grads)
+                grad_norm = float(np.linalg.norm(param_grad))
+                try:
+                    adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
+                except NonFiniteGradientError:
+                    flag = "nonfinite_grad"
+
+        transformed = adapter.forward_cloud(target.points)
+        adapted = fmap.forward_cloud(transformed)
         on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
         rec = evaluate_epoch(
-            adapter,
-            fmap,
+            adapted,
             source_feats,
-            target,
             refs,
             pairing,
             epoch=epoch,
@@ -292,49 +308,17 @@ def train(
             source_mean=src_mean,
             source_std=src_std,
         )
+        # in minibatch mode, refresh the bank for the next epoch when due
         outgoing = bank
         if not cfg.full_batch and epoch < cfg.epochs and epoch % cfg.snapshot_every == 0:
-            adapted = PointCloud(adapted_pts)
-            bank = initialize_bank(adapted, refs) if bank is None else refresh_snapshot(bank, adapted, refs)
+            cloud = PointCloud(adapted)
+            bank = initialize_bank(cloud, refs) if bank is None else refresh_snapshot(bank, cloud, refs)
         if outgoing is not None and cfg.batch_size < n:
             # the refreshed bank already holds the units at these parameters
-            a_units = bank.snapshot_units if bank is not outgoing else per_sample_units(adapted_pts, refs.quantiles)
+            a_units = bank.snapshot_units if bank is not outgoing else per_sample_units(adapted, refs.quantiles)
             rec.crude_var, rec.control_var = _variance_sample(a_units, outgoing.snapshot_units, cfg.batch_size, n)
         rec.grad_norm = grad_norm
         rec.flag = ";".join(x for x in (rec.flag, flag) if x)
-        return rec
-
-    trace.records.append(eval_record(0, _adapted_points(adapter, fmap, target.points), 0.0, ""))
-
-    for epoch in range(1, cfg.epochs + 1):
-        flag = ""
-        grad_norm = 0.0
-
-        if cfg.full_batch:
-            transformed = adapter.forward_cloud(target.points)
-            adapted = fmap.forward_cloud(transformed)
-            _, point_grads = quantile_loss_on_points(adapted, refs, *reg_args)
-            param_grad = _chain_param_grad(adapter, fmap, target.points, transformed, point_grads)
-            grad_norm = float(np.linalg.norm(param_grad))
-            try:
-                adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
-            except NonFiniteGradientError:
-                flag = "nonfinite_grad"
-        else:
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = np.asarray(order[start : start + cfg.batch_size], dtype=int)
-                xb = target.points[batch]
-                transformed = adapter.forward_cloud(xb)
-                yb = fmap.forward_cloud(transformed)
-                point_grads = minibatch_point_grads(yb, batch, bank, refs, *reg_args)
-                param_grad = _chain_param_grad(adapter, fmap, xb, transformed, point_grads)
-                grad_norm = float(np.linalg.norm(param_grad))
-                try:
-                    adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
-                except NonFiniteGradientError:
-                    flag = "nonfinite_grad"
-
-        trace.records.append(eval_record(epoch, _adapted_points(adapter, fmap, target.points), grad_norm, flag))
+        trace.records.append(rec)
 
     return adapter, trace

@@ -107,6 +107,42 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "config"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("kind = two_moons", "kind = six_blobs\ncounts = 80,82,84"),
+            ("kind = affine", "kind = affin"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = identity\nout_dim = 3"),
+            ("angle_deg = 180\n", ""),
+            ("epochs = 10", "epochs = 10\nepochs = 11"),
+        ],
+        ids=["three_blob_counts", "unknown_adapter", "identity_changes_dim", "rotation_without_angle", "duplicate_key"],
+    )
+    def test_config_mistake_exits_2(self, tmp_path, capsys, old, new):
+        assert old in TINY_CONFIG
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace(old, new))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace("learning_rate = 0.3", "learning_rat = 0.5\nwasserstein_max_size = 64"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert "[train] learning_rat" in payload["message"]
+        assert "[train] wasserstein_max_size" in payload["message"]
+
+    def test_unknown_section_exits_2_and_names_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "\n[trian]\nepochs = 3\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert "[trian]" in payload["message"]
+
     def test_config_echoed_into_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", str(tiny_config), "--out", str(out)])

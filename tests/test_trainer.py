@@ -20,6 +20,7 @@ from quantmatch import (
     train,
     two_moons,
 )
+from quantmatch.adapters import Adapter
 from quantmatch.bank import lemma_variance, per_sample_units, population_moments
 from quantmatch.trainer import ConfigError, NonFiniteGradientError, minibatch_point_grads
 from quantmatch.rng import SplitMix64
@@ -148,6 +149,27 @@ class TestTrainBasics:
         assert np.all(ql[1:] <= ql[:-1] + 1e-9)
 
 
+class TestForwardCount:
+    # one full-cloud forward per parameter value (the record's, which the next
+    # full-batch step reuses), plus one forward per minibatch
+    @pytest.mark.parametrize("full_batch, batch_size, batch_calls", [(True, 510, 0), (False, 64, 3 * 8)])
+    def test_one_full_cloud_forward_per_record(self, monkeypatch, full_batch, batch_size, batch_calls):
+        clean, target, src, fmap = sixblobs_setup()
+        rows = []
+        forward = Adapter.forward_cloud
+
+        def counting_forward(self, x):
+            rows.append(x.shape[0])
+            return forward(self, x)
+
+        monkeypatch.setattr(Adapter, "forward_cloud", counting_forward)
+        cfg = cfg_for(clean.n, epochs=3, batch_size=batch_size, full_batch=full_batch)
+        train(src, target.cloud, make_adapter("affine", 2), fmap, cfg, pairing=target.pairing)
+        assert clean.n == 510
+        assert rows.count(clean.n) == cfg.epochs + 1
+        assert len(rows) - rows.count(clean.n) == batch_calls
+
+
 class TestTrendBehaviors:
     def test_sixblobs_good_initialization_both_losses_fall(self):
         clean, target, src, fmap = sixblobs_setup()
@@ -198,7 +220,8 @@ class TestEvaluateEpoch:
         inverse = CORRUPTION.exact_inverse_matrix()
         adapter = make_adapter("affine", 2)
         adapter = adapter.with_params(np.concatenate([inverse.ravel(), np.zeros(2)]))
-        rec = evaluate_epoch(adapter, fmap, src, target.cloud, refs, pairing=target.pairing)
+        adapted = fmap.forward_cloud(adapter.forward_cloud(target.cloud.points))
+        rec = evaluate_epoch(adapted, src, refs, pairing=target.pairing)
         assert rec.paired_mse == pytest.approx(0.0, abs=1e-18)
         assert rec.quantile_loss == pytest.approx(0.0, abs=1e-18)
         assert rec.wasserstein2 == pytest.approx(0.0, abs=1e-9)
@@ -206,8 +229,7 @@ class TestEvaluateEpoch:
     def test_identity_on_shifted_data_all_positive(self):
         clean, target, src, fmap = sixblobs_setup()
         refs = select_references(src, 60, seed=5)
-        rec = evaluate_epoch(make_adapter("identity", 2), fmap, src, target.cloud, refs,
-                             pairing=target.pairing)
+        rec = evaluate_epoch(target.cloud.points, src, refs, pairing=target.pairing)
         assert rec.quantile_loss > 0
         assert rec.paired_mse > 0
         assert rec.wasserstein2 > 0
@@ -215,8 +237,7 @@ class TestEvaluateEpoch:
     def test_oversize_cloud_skips_wasserstein(self):
         clean, target, src, fmap = sixblobs_setup()
         refs = select_references(src, 10, seed=5)
-        rec = evaluate_epoch(make_adapter("identity", 2), fmap, src, target.cloud, refs,
-                             wasserstein_max_size=100)
+        rec = evaluate_epoch(target.cloud.points, src, refs, wasserstein_max_size=100)
         assert rec.wasserstein2 is None
         assert "wasserstein_skipped" in rec.flag
 
