@@ -2,7 +2,7 @@
 an adapter map to match quantile indices, with a variance-reduced memory-bank
 estimator for small-batch training."""
 
-from .adapters import Adapter, FeatureMap, compose_with_feature_map, make_adapter, make_feature_map
+from .adapters import Adapter, FeatureMap, make_adapter, make_feature_map
 from .bank import (
     EstimatorDiagnostics,
     MemoryBank,
@@ -58,7 +58,6 @@ __all__ = [
     "TransportPlan",
     "apply_corruption",
     "batch_stat_penalty",
-    "compose_with_feature_map",
     "control_variate_estimate",
     "enumerate_batches",
     "estimator_variance",

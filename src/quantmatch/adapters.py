@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, PointCloud
+from .geometry import DimensionMismatchError
 from .rng import SplitMix64
 
 ADAPTER_KINDS = ("identity", "affine", "mlp1")
@@ -65,10 +65,6 @@ class Adapter:
         w1, b1, w2 = self._unpack()
         return x + np.tanh(x @ w1.T + b1) @ w2.T
 
-    def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.forward_cloud(x[None, :])[0]
-
     def backward_cloud(self, x: np.ndarray, upstream: np.ndarray):
         """Accumulated (param_grad, input_grads) of sum_j <upstream_j, T(x_j)>."""
         if x.shape != upstream.shape or x.shape[1] != self.dim:
@@ -91,12 +87,6 @@ class Adapter:
             np.concatenate([dw1.ravel(), db1, dw2.ravel()]),
             upstream + dpre @ w1,
         )
-
-    def backward(self, x, upstream):
-        x = np.asarray(x, dtype=float)
-        upstream = np.asarray(upstream, dtype=float)
-        pgrad, igrads = self.backward_cloud(x[None, :], upstream[None, :])
-        return pgrad, igrads[0]
 
     def with_params(self, params: np.ndarray) -> "Adapter":
         if params.shape != self.params.shape:
@@ -159,10 +149,6 @@ class FeatureMap:
             return x @ self.matrix.T + self.offset
         return np.tanh(x @ self.w1.T + self.b1) @ self.w2.T + self.b2
 
-    def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.forward_cloud(x[None, :])[0]
-
     def backward_cloud(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Input gradients of sum_j <upstream_j, f(x_j)>; parameters are frozen."""
         if upstream.shape[1] != self.out_dim or x.shape[1] != self.in_dim:
@@ -174,11 +160,6 @@ class FeatureMap:
         act = np.tanh(x @ self.w1.T + self.b1)
         return (upstream @ self.w2) * (1.0 - act**2) @ self.w1
 
-    def backward(self, x, upstream) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        upstream = np.asarray(upstream, dtype=float)
-        return self.backward_cloud(x[None, :], upstream[None, :])[0]
-
 
 def make_feature_map(
     kind: str,
@@ -186,8 +167,6 @@ def make_feature_map(
     out_dim: int | None = None,
     hidden: int = 0,
     seed: int = 0,
-    matrix=None,
-    offset=None,
 ) -> FeatureMap:
     out_dim = in_dim if out_dim is None else out_dim
     if kind == "identity":
@@ -196,11 +175,8 @@ def make_feature_map(
         return FeatureMap(kind=kind, in_dim=in_dim, out_dim=in_dim)
     if kind == "fixed_affine":
         rng = SplitMix64.stream("feature_affine", seed)
-        m = np.asarray(matrix, dtype=float) if matrix is not None else _orthogonalish(out_dim, in_dim, rng, 1.0)
-        if m.shape != (out_dim, in_dim):
-            raise DimensionMismatchError("feature matrix shape mismatch")
-        c = np.asarray(offset, dtype=float) if offset is not None else np.zeros(out_dim)
-        return FeatureMap(kind=kind, in_dim=in_dim, out_dim=out_dim, matrix=m, offset=c)
+        m = _orthogonalish(out_dim, in_dim, rng, 1.0)
+        return FeatureMap(kind=kind, in_dim=in_dim, out_dim=out_dim, matrix=m, offset=np.zeros(out_dim))
     if kind == "fixed_mlp":
         if hidden < 1:
             hidden = max(in_dim, out_dim, 4)
@@ -215,10 +191,3 @@ def make_feature_map(
             b2=0.1 * rng.normals(out_dim),
         )
     raise ValueError(f"unknown feature map kind {kind!r}")
-
-
-def compose_with_feature_map(adapter: Adapter, fmap: FeatureMap, cloud: PointCloud) -> PointCloud:
-    """Apply f(T_theta(.)) pointwise to a cloud."""
-    if fmap.in_dim != adapter.dim:
-        raise DimensionMismatchError("feature map input dim must match adapter output dim")
-    return PointCloud(fmap.forward_cloud(adapter.forward_cloud(cloud.points)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import DimensionMismatchError, PointCloud
 from .loss import ReferenceSet, unit_directions
-from .oracles import enumerate_batches
+from .oracles import ENUMERATION_LIMIT, enumerate_batches
 from .rng import SplitMix64
 
 
@@ -120,8 +120,8 @@ def estimator_variance(
         raise DimensionMismatchError("current and snapshot clouds differ in size")
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
-    if mode == "exhaustive" and math.comb(n, b) > 10**6:
-        raise ValueError("exhaustive mode limited to C(n, b) <= 1e6")
+    if mode == "exhaustive" and math.comb(n, b) > ENUMERATION_LIMIT:
+        raise ValueError(f"exhaustive mode limited to C(n, b) <= {ENUMERATION_LIMIT}")
 
     a_units = per_sample_units(adapted_t.points, refs.quantiles)
     s_units = per_sample_units(adapted_snap.points, refs.quantiles)

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,9 @@ from .datasets import (
     two_moons,
 )
 from .geometry import PointCloud, geometric_quantile
-from .loss import select_references
+from .loss import quantile_loss_on_points, select_references
 from .rng import SplitMix64
-from .trainer import ConfigError, TrainConfig, train
+from .trainer import ConfigError, TrainConfig, _chain_param_grad, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -101,7 +102,7 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
             reg_weight=float(tr.get("reg_weight", 0.0)),
             seed=int(seed_override if seed_override is not None else tr.get("seed", 0)),
             snapshot_every=int(tr.get("snapshot_every", 1)),
-            full_batch=tr.get("full_batch", "false").lower() in ("1", "true", "yes"),
+            full_batch=parser.getboolean("train", "full_batch", fallback=False),
             wasserstein_every=int(tr.get("wasserstein_every", 10)),
         )
     except ValueError as exc:
@@ -202,11 +203,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     trace.to_csv(spec.out_dir / "trace.csv")
     cloud_to_csv(clean, spec.out_dir / "source.csv")
     cloud_to_csv(corrupted, spec.out_dir / "target.csv")
-    final_adapted = LabeledCloud(
-        cloud=PointCloud(fmap.forward_cloud(adapter.forward_cloud(corrupted.cloud.points))),
-        labels=corrupted.labels,
-        pairing=corrupted.pairing,
-    )
+    final_adapted = LabeledCloud(cloud=PointCloud(trace.adapted), labels=corrupted.labels, pairing=corrupted.pairing)
     cloud_to_csv(final_adapted, spec.out_dir / "adapted.csv")
 
     first, last = trace.records[0], trace.records[-1]
@@ -303,8 +300,6 @@ def verify_gradients(seed: int, lines: list[str]) -> bool:
         adapter = make_adapter(kind, d, hidden=5, seed=seed)
         refs = select_references(source, 4, seed)
 
-        from .loss import quantile_loss_on_points
-
         def loss_at(theta, adapter=adapter):
             probe = adapter.with_params(theta)
             pts = fmap.forward_cloud(probe.forward_cloud(target.points))
@@ -314,8 +309,7 @@ def verify_gradients(seed: int, lines: list[str]) -> bool:
         transformed = adapter.forward_cloud(target.points)
         adapted = fmap.forward_cloud(transformed)
         _, point_grads = quantile_loss_on_points(adapted, refs)
-        upstream = fmap.backward_cloud(transformed, point_grads)
-        analytic, _ = adapter.backward_cloud(target.points, upstream)
+        analytic = _chain_param_grad(adapter, fmap, target.points, transformed, point_grads)
 
         if adapter.n_params == 0:
             ok = True
@@ -334,8 +328,6 @@ def verify_wasserstein(seed: int, lines: list[str]) -> bool:
     a = rng.normals((6, 2))
     b = rng.normals((6, 2))
     plan = oracles.wasserstein2(a, b)
-    from itertools import permutations
-
     best = min(float(np.sum((a - b[list(p)]) ** 2)) / 6 for p in permutations(range(6)))
     gap = abs(plan.cost - best)
     ok = gap <= 1e-12

@@ -95,12 +95,7 @@ class Corruption:
         return None
 
 
-def six_blobs(
-    seed: int,
-    per_class_counts=SIX_BLOBS_COUNTS,
-    means=None,
-    covariances=None,
-) -> LabeledCloud:
+def six_blobs(seed: int, per_class_counts=SIX_BLOBS_COUNTS) -> LabeledCloud:
     """Six Gaussian classes with differing counts, means, and covariances."""
     counts = tuple(int(c) for c in per_class_counts)
     if len(counts) != 6:
@@ -108,25 +103,14 @@ def six_blobs(
     if any(c < 10 for c in counts):
         raise ValueError("each class needs at least 10 points")
 
-    if means is None:
-        angles = np.deg2rad(60.0 * np.arange(6))
-        means = SIX_BLOBS_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    means = np.asarray(means, dtype=float)
-
-    if covariances is None:
-        covariances = []
-        for k, scale in enumerate(SIX_BLOBS_COV_SCALES):
-            rot = _rotation(60.0 * k)
-            covariances.append(rot @ np.diag([scale, SIX_BLOBS_COV_ASPECT * scale]) @ rot.T)
-    covariances = [np.asarray(c, dtype=float) for c in covariances]
+    angles = np.deg2rad(60.0 * np.arange(6))
+    means = SIX_BLOBS_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     rng = SplitMix64.stream("six_blobs", seed)
     points, labels = [], []
-    for cls, (count, mean, cov) in enumerate(zip(counts, means, covariances)):
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"class {cls} covariance is not positive definite") from exc
+    for cls, (count, mean, scale) in enumerate(zip(counts, means, SIX_BLOBS_COV_SCALES)):
+        rot = _rotation(60.0 * cls)
+        chol = np.linalg.cholesky(rot @ np.diag([scale, SIX_BLOBS_COV_ASPECT * scale]) @ rot.T)
         z = rng.normals((count, mean.shape[0]))
         points.append(mean + z @ chol.T)
         labels.extend([cls] * count)

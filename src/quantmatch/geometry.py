@@ -101,18 +101,19 @@ def phi_loss(cloud: PointCloud, u, q) -> float:
     return float(np.mean(np.linalg.norm(diff, axis=1) + diff @ u))
 
 
-def quantile_index(cloud: PointCloud, z, eps: float = COINCIDENCE_EPS) -> np.ndarray:
+def quantile_index(cloud: PointCloud, z) -> np.ndarray:
     """Average unit vector from the cloud toward z.
 
-    Points within eps of z are excluded and the average renormalized by the
-    remaining count, matching the on-support form of the inverse map.
+    Points within COINCIDENCE_EPS of z are excluded and the average
+    renormalized by the remaining count, matching the on-support form of the
+    inverse map.
     """
     z = as_vector(z)
     if z.shape[0] != cloud.dim:
         raise DimensionMismatchError("quantile_index: dimension mismatch")
     diff = z - cloud.points
     dist = np.linalg.norm(diff, axis=1)
-    keep = dist >= eps
+    keep = dist >= COINCIDENCE_EPS
     m = int(keep.sum())
     if m == 0:
         raise DegenerateCloudError("probe coincides with every cloud point")
@@ -147,13 +148,7 @@ def _on_support_pull(pts: np.ndarray, r: int, u: np.ndarray) -> tuple[np.ndarray
     return pull, float(np.linalg.norm(pull)), float(inv.sum())
 
 
-def geometric_quantile(
-    cloud: PointCloud,
-    u,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    track_losses: bool = False,
-) -> SolverReport:
+def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> SolverReport:
     """Solve for the quantile at index u by damped Weiszfeld iteration.
 
     The fixed-point map Q <- (sum_i Z_i/d_i + n*u) / (sum_i 1/d_i) comes from
@@ -178,7 +173,7 @@ def geometric_quantile(
     on_support = False
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         diff = q - pts
         dist = np.linalg.norm(diff, axis=1)
         nearest = int(np.argmin(dist))
@@ -203,7 +198,7 @@ def geometric_quantile(
             continue
 
         grad = diff.T.dot(1.0 / dist) / n - u  # = index(q) - u
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= DEFAULT_TOL:
             break
 
         weights = 1.0 / dist
@@ -230,7 +225,7 @@ def geometric_quantile(
         quantile=q,
         iterations=iterations,
         residual=residual,
-        converged=residual <= tol,
+        converged=residual <= DEFAULT_TOL,
         maybe_nonunique=bool(maybe_nonunique),
         on_support=on_support,
         loss_history=tuple(losses) if losses is not None else None,

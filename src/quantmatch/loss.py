@@ -108,7 +108,7 @@ def select_references(
     )
 
 
-def h_r(x, z_r, eps: float = COINCIDENCE_EPS) -> np.ndarray:
+def h_r(x, z_r) -> np.ndarray:
     """Unit vector from x toward the reference z_r."""
     x = as_vector(x)
     z_r = as_vector(z_r)
@@ -116,7 +116,7 @@ def h_r(x, z_r, eps: float = COINCIDENCE_EPS) -> np.ndarray:
         raise DimensionMismatchError("h_r: dimension mismatch")
     diff = z_r - x
     dist = float(np.linalg.norm(diff))
-    if dist < eps:
+    if dist < COINCIDENCE_EPS:
         raise DegenerateCloudError("h_r undefined: x coincides with the reference")
     return diff / dist
 

@@ -18,6 +18,7 @@ from .geometry import DimensionMismatchError, PointCloud
 
 MAX_EXACT_SIZE = 512
 ENUMERATION_LIMIT = 10**6
+FD_STEP = 1e-5
 
 
 def _points(cloud) -> np.ndarray:
@@ -60,15 +61,15 @@ class TransportPlan:
         return math.sqrt(self.cost)
 
 
-def wasserstein2(a, b, max_size: int = MAX_EXACT_SIZE) -> TransportPlan:
+def wasserstein2(a, b) -> TransportPlan:
     """Exact Wasserstein-2 between equal-size clouds via optimal assignment."""
     pa, pb = _points(a), _points(b)
     if pa.shape[1] != pb.shape[1]:
         raise DimensionMismatchError("wasserstein2: dimension mismatch")
     if pa.shape[0] != pb.shape[0]:
         raise ValueError("exact mode requires equal-size clouds")
-    if pa.shape[0] > max_size:
-        raise ValueError(f"cloud size {pa.shape[0]} exceeds exact-mode cap {max_size}")
+    if pa.shape[0] > MAX_EXACT_SIZE:
+        raise ValueError(f"cloud size {pa.shape[0]} exceeds exact-mode cap {MAX_EXACT_SIZE}")
     sq = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
     rows, cols = linear_sum_assignment(sq)
     assignment = np.empty(pa.shape[0], dtype=int)
@@ -88,27 +89,25 @@ def paired_mse(a, b, pairing: Pairing) -> float:
     return float(np.mean(np.sum((pa - pb[idx]) ** 2, axis=1)))
 
 
-def finite_diff_grad(fn: Callable[[np.ndarray], float], theta, step: float = 1e-5) -> np.ndarray:
+def finite_diff_grad(fn: Callable[[np.ndarray], float], theta) -> np.ndarray:
     """Central finite differences of a scalar function of a flat vector."""
-    if step <= 0:
-        raise ValueError("step must be positive")
     theta = np.asarray(theta, dtype=float)
     grad = np.empty_like(theta)
     for i in range(theta.size):
         bump = np.zeros_like(theta)
-        bump[i] = step
+        bump[i] = FD_STEP
         hi = fn(theta + bump)
         lo = fn(theta - bump)
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise ValueError(f"non-finite evaluation at coordinate {i}")
-        grad[i] = (hi - lo) / (2.0 * step)
+        grad[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad
 
 
-def enumerate_batches(n: int, b: int, limit: int = ENUMERATION_LIMIT) -> Iterator[tuple[int, ...]]:
+def enumerate_batches(n: int, b: int) -> Iterator[tuple[int, ...]]:
     """All b-subsets of range(n) in lexicographic order."""
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} invalid for population {n}")
-    if math.comb(n, b) > limit:
-        raise ValueError(f"C({n},{b}) exceeds enumeration limit {limit}")
+    if math.comb(n, b) > ENUMERATION_LIMIT:
+        raise ValueError(f"C({n},{b}) exceeds enumeration limit {ENUMERATION_LIMIT}")
     return combinations(range(n), b)

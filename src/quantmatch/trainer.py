@@ -67,7 +67,6 @@ class TrainConfig:
     snapshot_every: int = 1
     full_batch: bool = False
     wasserstein_every: int = 10
-    wasserstein_max_size: int = MAX_EXACT_SIZE
 
     def validate(self, n_source: int, n_target: int) -> None:
         if self.epochs < 1:
@@ -84,8 +83,6 @@ class TrainConfig:
             raise ConfigError("snapshot_every must be >= 1")
         if self.wasserstein_every < 1:
             raise ConfigError("wasserstein_every must be >= 1")
-        if self.wasserstein_max_size < 1:
-            raise ConfigError("wasserstein_max_size must be >= 1")
 
 
 @dataclass
@@ -103,12 +100,11 @@ class EpochRecord:
 @dataclass
 class RunTrace:
     records: list[EpochRecord] = field(default_factory=list)
+    adapted: np.ndarray | None = None  # the last record's (n, d) adapted cloud
 
-    def column(self, name: str, skip_none: bool = True) -> np.ndarray:
+    def column(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.records]
-        if skip_none:
-            vals = [v for v in vals if v is not None]
-        return np.asarray(vals, dtype=float)
+        return np.asarray([v for v in vals if v is not None], dtype=float)
 
     def to_csv(self, path) -> None:
         """Deterministic trace, so reruns are byte-identical."""
@@ -202,7 +198,6 @@ def evaluate_epoch(
     pairing: Pairing | None = None,
     epoch: int = 0,
     compute_wasserstein: bool = True,
-    wasserstein_max_size: int = MAX_EXACT_SIZE,
     reg_weight: float = 0.0,
     source_mean=None,
     source_std=None,
@@ -219,8 +214,8 @@ def evaluate_epoch(
     w2 = None
     flag = ""
     if compute_wasserstein:
-        if adapted.shape[0] == source_feats.n and adapted.shape[0] <= wasserstein_max_size:
-            w2 = wasserstein2(adapted, source_feats, max_size=wasserstein_max_size).distance
+        if adapted.shape[0] == source_feats.n <= MAX_EXACT_SIZE:
+            w2 = wasserstein2(adapted, source_feats).distance
         else:
             flag = "wasserstein_skipped"
 
@@ -246,7 +241,8 @@ def train(
 
     The trace carries one record per epoch plus a pre-training record at
     epoch 0, so initial/final metric ratios are well-defined. Each record
-    forwards the full cloud once, and the next full-batch step reuses it.
+    forwards the full cloud once, and the next full-batch step reuses it;
+    the last record's cloud is kept as `trace.adapted`.
     """
     cfg.validate(source_feats.n, target.n)
     if fmap.out_dim != source_feats.dim:
@@ -254,7 +250,10 @@ def train(
     if fmap.in_dim != adapter.dim or adapter.dim != target.dim:
         raise ConfigError("adapter/feature-map/target dimensions are inconsistent")
 
-    refs = select_references(source_feats, cfg.reference_count, cfg.seed, labels=source_labels)
+    try:
+        refs = select_references(source_feats, cfg.reference_count, cfg.seed, labels=source_labels)
+    except ValueError as exc:
+        raise ConfigError(f"cannot select references: {exc}") from exc
     src_mean = source_feats.points.mean(axis=0)
     src_std = source_feats.points.std(axis=0, ddof=1)
     reg_args = (cfg.reg_weight, src_mean, src_std)
@@ -303,7 +302,6 @@ def train(
             pairing,
             epoch=epoch,
             compute_wasserstein=on_cadence,
-            wasserstein_max_size=cfg.wasserstein_max_size,
             reg_weight=cfg.reg_weight,
             source_mean=src_mean,
             source_std=src_std,
@@ -321,4 +319,5 @@ def train(
         rec.flag = ";".join(x for x in (rec.flag, flag) if x)
         trace.records.append(rec)
 
+    trace.adapted = adapted
     return adapter, trace

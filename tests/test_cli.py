@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantmatch.cli import main
+from quantmatch.adapters import Adapter
+from quantmatch.cli import load_spec, main
 
 TINY_CONFIG = """
 [experiment]
@@ -115,8 +116,18 @@ class TestRun:
             ("[feature_map]\nkind = identity", "[feature_map]\nkind = identity\nout_dim = 3"),
             ("angle_deg = 180\n", ""),
             ("epochs = 10", "epochs = 10\nepochs = 11"),
+            ("reference_count = 20", "reference_count = 21"),
+            ("full_batch = true", "full_batch = ture"),
         ],
-        ids=["three_blob_counts", "unknown_adapter", "identity_changes_dim", "rotation_without_angle", "duplicate_key"],
+        ids=[
+            "three_blob_counts",
+            "unknown_adapter",
+            "identity_changes_dim",
+            "rotation_without_angle",
+            "duplicate_key",
+            "references_not_split_by_classes",
+            "misspelt_full_batch",
+        ],
     )
     def test_config_mistake_exits_2(self, tmp_path, capsys, old, new):
         assert old in TINY_CONFIG
@@ -125,6 +136,24 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "config"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value, expected", [("Yes", True), ("on", True), ("0", False), ("OFF", False)])
+    def test_full_batch_boolean_spellings(self, tmp_path, value, expected):
+        path = tmp_path / "c.cfg"
+        path.write_text(TINY_CONFIG.replace("full_batch = true", f"full_batch = {value}"))
+        assert load_spec(path).train.full_batch is expected
+
+    def test_adapted_csv_needs_no_extra_forward(self, tiny_config, tmp_path, monkeypatch):
+        rows = []
+        forward = Adapter.forward_cloud
+
+        def counting_forward(self, x):
+            rows.append(x.shape[0])
+            return forward(self, x)
+
+        monkeypatch.setattr(Adapter, "forward_cloud", counting_forward)
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 0
+        assert rows == [60] * (10 + 1)  # one per record: epochs + the pre-training record
 
     def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -182,8 +211,6 @@ SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 class TestShippedConfigs:
     def test_shipped_configs_parse(self):
-        from quantmatch.cli import load_spec
-
         for name in ("sixblobs_linear.cfg", "twomoons_flip.cfg"):
             spec = load_spec(SHIPPED / name)
             assert spec.train.epochs >= 1
