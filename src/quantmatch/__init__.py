@@ -21,9 +21,7 @@ from .geometry import (
     quantile_index,
 )
 from .loss import (
-    LossBreakdown,
     ReferenceSet,
-    batch_stat_penalty,
     g_r,
     h_r,
     quantile_loss_on_points,
@@ -47,7 +45,6 @@ __all__ = [
     "EstimatorDiagnostics",
     "FeatureMap",
     "LabeledCloud",
-    "LossBreakdown",
     "MemoryBank",
     "Pairing",
     "PointCloud",
@@ -57,7 +54,6 @@ __all__ = [
     "TrainConfig",
     "TransportPlan",
     "apply_corruption",
-    "batch_stat_penalty",
     "control_variate_estimate",
     "enumerate_batches",
     "estimator_variance",

@@ -15,9 +15,6 @@ import numpy as np
 from .geometry import DimensionMismatchError
 from .rng import SplitMix64
 
-ADAPTER_KINDS = ("identity", "affine", "mlp1")
-FEATURE_MAP_KINDS = ("identity", "fixed_affine", "fixed_mlp")
-
 
 def _orthogonalish(rows: int, cols: int, rng: SplitMix64, scale: float) -> np.ndarray:
     """Random matrix with roughly orthonormal rows/columns, rescaled."""
@@ -106,6 +103,8 @@ def make_adapter(
     init_rotation_deg (affine, 2-d only) starts A at a rotation instead; used
     to place the start near a symmetry of the data rather than at identity.
     """
+    if not np.isfinite(init_rotation_deg):
+        raise ValueError("init_rotation_deg must be finite")
     if kind == "identity":
         return Adapter(kind=kind, params=np.zeros(0), dim=dim)
     if kind == "affine":
@@ -134,7 +133,6 @@ class FeatureMap:
     in_dim: int
     out_dim: int
     matrix: np.ndarray | None = None      # fixed_affine
-    offset: np.ndarray | None = None
     w1: np.ndarray | None = None          # fixed_mlp
     b1: np.ndarray | None = None
     w2: np.ndarray | None = None
@@ -146,7 +144,7 @@ class FeatureMap:
         if self.kind == "identity":
             return x.copy()
         if self.kind == "fixed_affine":
-            return x @ self.matrix.T + self.offset
+            return x @ self.matrix.T
         return np.tanh(x @ self.w1.T + self.b1) @ self.w2.T + self.b2
 
     def backward_cloud(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -176,7 +174,7 @@ def make_feature_map(
     if kind == "fixed_affine":
         rng = SplitMix64.stream("feature_affine", seed)
         m = _orthogonalish(out_dim, in_dim, rng, 1.0)
-        return FeatureMap(kind=kind, in_dim=in_dim, out_dim=out_dim, matrix=m, offset=np.zeros(out_dim))
+        return FeatureMap(kind=kind, in_dim=in_dim, out_dim=out_dim, matrix=m)
     if kind == "fixed_mlp":
         if hidden < 1:
             hidden = max(in_dim, out_dim, 4)

@@ -60,8 +60,7 @@ CONFIG_KEYS = {
     "corruption": "kind seed matrix angle_deg offset sigma",
     "adapter": "kind hidden seed init_rotation_deg",
     "feature_map": "kind out_dim hidden seed",
-    "train": "epochs batch_size learning_rate momentum reference_count reg_weight seed snapshot_every full_batch"
-    " wasserstein_every",
+    "train": "epochs batch_size learning_rate momentum reference_count seed snapshot_every full_batch wasserstein_every",
     "output": "dir",
 }
 
@@ -99,7 +98,6 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
             learning_rate=float(tr.get("learning_rate", 1e-2)),
             momentum=float(tr.get("momentum", 0.9)),
             reference_count=int(tr.get("reference_count", 60)),
-            reg_weight=float(tr.get("reg_weight", 0.0)),
             seed=int(seed_override if seed_override is not None else tr.get("seed", 0)),
             snapshot_every=int(tr.get("snapshot_every", 1)),
             full_batch=parser.getboolean("train", "full_batch", fallback=False),
@@ -207,8 +205,10 @@ def run_experiment(spec: ExperimentSpec) -> int:
     cloud_to_csv(final_adapted, spec.out_dir / "adapted.csv")
 
     first, last = trace.records[0], trace.records[-1]
+    diverged = trace.divergence is not None
     mse_plateau = (
-        first.paired_mse is not None
+        not diverged
+        and first.paired_mse is not None
         and last.paired_mse is not None
         and first.paired_mse > 1e-12
         and last.paired_mse > 0.5 * first.paired_mse
@@ -235,6 +235,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
         },
         "adapter_params": [float(v) for v in adapter.params],
         "flags": {
+            "diverged": diverged,
             "mse_plateau": bool(mse_plateau),
             "wasserstein_skipped": any("wasserstein_skipped" in r.flag for r in trace.records),
             "aborted_steps": sum("nonfinite_grad" in r.flag for r in trace.records),
@@ -244,6 +245,12 @@ def run_experiment(spec: ExperimentSpec) -> int:
     with open(spec.out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if diverged:
+        epoch, ratio = trace.divergence
+        message = f"training diverged at epoch {epoch}: adapted cloud spread ratio {ratio:.3g}"
+        finite_ratio = ratio if np.isfinite(ratio) else None
+        print(json.dumps({"error": "diverged", "message": message, "epoch": epoch, "spread_ratio": finite_ratio}))
+        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -303,8 +310,7 @@ def verify_gradients(seed: int, lines: list[str]) -> bool:
         def loss_at(theta, adapter=adapter):
             probe = adapter.with_params(theta)
             pts = fmap.forward_cloud(probe.forward_cloud(target.points))
-            breakdown, _ = quantile_loss_on_points(pts, refs, want_grad=False)
-            return breakdown.total
+            return quantile_loss_on_points(pts, refs, want_grad=False)[0]
 
         transformed = adapter.forward_cloud(target.points)
         adapted = fmap.forward_cloud(transformed)

@@ -125,6 +125,8 @@ def two_moons(seed: int, n: int = 200, noise_sigma: float = 0.05) -> LabeledClou
         raise ValueError("two_moons needs n >= 4")
     if n % 2 != 0:
         raise ValueError("two_moons needs an even n")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError("two_moons needs a finite noise_sigma >= 0")
     half = n // 2
     t = np.linspace(0.0, np.pi, half)
     upper = np.stack([np.cos(t), np.sin(t)], axis=1) - TWO_MOONS_CENTER

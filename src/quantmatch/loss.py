@@ -52,13 +52,6 @@ class ReferenceSet:
         return self.quantiles.shape[1]
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    total: float
-    per_reference: np.ndarray
-    regularizer: float
-
-
 def select_references(
     source: PointCloud,
     count: int,
@@ -171,45 +164,12 @@ def index_averages(points: np.ndarray, ref_points: np.ndarray):
     return avgs, dist, units, mask
 
 
-def _penalty_terms(points: np.ndarray, source_mean, source_std):
-    source_mean = as_vector(source_mean)
-    source_std = as_vector(source_std)
-    if np.any(source_std <= 0):
-        raise ValueError("source std must be strictly positive")
-    if points.shape[0] < 2:
-        raise DegenerateCloudError("std undefined for fewer than 2 points")
-    mean = points.mean(axis=0)
-    std = points.std(axis=0, ddof=1)
-    return mean, std, source_mean, source_std
-
-
-def batch_stat_penalty(adapted, source_mean, source_std) -> float:
-    """Squared deviation of the cloud's mean and per-coordinate std from targets."""
-    points = adapted.points if isinstance(adapted, PointCloud) else np.asarray(adapted, dtype=float)
-    mean, std, source_mean, source_std = _penalty_terms(points, source_mean, source_std)
-    return float(np.sum((mean - source_mean) ** 2) + np.sum((std - source_std) ** 2))
-
-
-def batch_stat_penalty_grad(adapted, source_mean, source_std) -> np.ndarray:
-    points = adapted.points if isinstance(adapted, PointCloud) else np.asarray(adapted, dtype=float)
-    mean, std, source_mean, source_std = _penalty_terms(points, source_mean, source_std)
-    m = points.shape[0]
-    grad = np.broadcast_to(2.0 * (mean - source_mean) / m, points.shape).copy()
-    safe_std = np.where(std > 1e-300, std, 1.0)
-    coeff = np.where(std > 1e-300, 2.0 * (std - source_std) / ((m - 1) * safe_std), 0.0)
-    grad += coeff * (points - mean)
-    return grad
-
-
 def quantile_loss_on_points(
     points: np.ndarray,
     refs: ReferenceSet,
-    reg_weight: float = 0.0,
-    source_mean=None,
-    source_std=None,
     want_grad: bool = True,
-) -> tuple[LossBreakdown, np.ndarray | None]:
-    """Mean squared index discrepancy over the references, plus optional penalty.
+) -> tuple[float, np.ndarray | None]:
+    """Mean squared index discrepancy over the references, and its point gradients.
 
     Takes the adapted cloud as a raw (m, d) array; the gradient, one row per
     point, is d(total)/d(point) and is None unless want_grad.
@@ -218,13 +178,7 @@ def quantile_loss_on_points(
         raise DimensionMismatchError("quantile_loss_on_points: dimension mismatch")
     avgs, dist, units, mask = index_averages(points, refs.quantiles)
     resid = avgs - refs.target_indices                           # (R, d)
-    per_reference = np.sum(resid**2, axis=1)
-    total = float(per_reference.mean())
-
-    penalty = 0.0
-    if reg_weight != 0.0:
-        penalty = batch_stat_penalty(points, source_mean, source_std)
-        total += reg_weight * penalty
+    total = float(np.sum(resid**2, axis=1).mean())
 
     grads = None
     if want_grad:
@@ -232,7 +186,4 @@ def quantile_loss_on_points(
         scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
         scale *= 2.0 / refs.count
         grads = direction_point_grads(units, resid, scale)
-        if reg_weight != 0.0:
-            grads += reg_weight * batch_stat_penalty_grad(points, source_mean, source_std)
-
-    return LossBreakdown(total=total, per_reference=per_reference, regularizer=penalty), grads
+    return total, grads

@@ -10,6 +10,7 @@ epochs.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,6 @@ from .bank import (
 from .geometry import PointCloud
 from .loss import (
     ReferenceSet,
-    batch_stat_penalty_grad,
     direction_point_grads,
     quantile_loss_on_points,
     select_references,
@@ -46,6 +46,10 @@ TRACE_COLUMNS = (
     "grad_norm",
 )
 
+# a run has diverged once its adapted cloud spreads this many times wider
+# than the source features (or than its own start, if that is wider)
+DIVERGENCE_SPREAD = 1e3
+
 
 class ConfigError(ValueError):
     pass
@@ -62,7 +66,6 @@ class TrainConfig:
     learning_rate: float
     reference_count: int
     momentum: float = 0.9
-    reg_weight: float = 0.0
     seed: int = 0
     snapshot_every: int = 1
     full_batch: bool = False
@@ -73,8 +76,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if not 1 <= self.batch_size <= n_target:
             raise ConfigError(f"batch_size must be in [1, {n_target}]")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and positive")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0, 1)")
         if not 1 <= self.reference_count <= n_source:
@@ -101,6 +104,7 @@ class EpochRecord:
 class RunTrace:
     records: list[EpochRecord] = field(default_factory=list)
     adapted: np.ndarray | None = None  # the last record's (n, d) adapted cloud
+    divergence: tuple[int, float] | None = None  # (epoch, spread ratio) of a stopped run
 
     def column(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.records]
@@ -155,6 +159,12 @@ def _chain_param_grad(
     return param_grad
 
 
+def rms_spread(points: np.ndarray) -> float:
+    """Root-mean-square distance of the points from their mean."""
+    centered = points - points.mean(axis=0)
+    return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
+
+
 def _variance_sample(a_units: np.ndarray, s_units: np.ndarray, b: int, n: int):
     """Closed-form crude/control variances from the current and snapshot unit arrays."""
     sigma_a2, sigma_s2, sigma_as = population_moments(a_units, s_units)
@@ -168,9 +178,6 @@ def minibatch_point_grads(
     batch: np.ndarray,
     bank: MemoryBank,
     refs: ReferenceSet,
-    reg_weight: float = 0.0,
-    source_mean=None,
-    source_std=None,
 ) -> np.ndarray:
     """Point gradients of mean_r ||estimate_r - u_r||^2 through the batch term.
 
@@ -185,10 +192,7 @@ def minibatch_point_grads(
     estimate = control_variate_estimate(bank, units.mean(axis=1), snap_units.mean(axis=1))
     resid = estimate - refs.target_indices                             # (R, d)
     scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
-    point_grads = direction_point_grads(units, resid, scale)
-    if reg_weight != 0.0 and b >= 2:
-        point_grads += reg_weight * batch_stat_penalty_grad(yb, source_mean, source_std)
-    return point_grads
+    return direction_point_grads(units, resid, scale)
 
 
 def evaluate_epoch(
@@ -198,14 +202,9 @@ def evaluate_epoch(
     pairing: Pairing | None = None,
     epoch: int = 0,
     compute_wasserstein: bool = True,
-    reg_weight: float = 0.0,
-    source_mean=None,
-    source_std=None,
 ) -> EpochRecord:
     """Full-data metrics of the adapted (n, d) cloud; the Wasserstein oracle runs on cadence."""
-    breakdown, _ = quantile_loss_on_points(
-        adapted, refs, reg_weight, source_mean, source_std, want_grad=False
-    )
+    loss, _ = quantile_loss_on_points(adapted, refs, want_grad=False)
 
     mse = None
     if pairing is not None:
@@ -221,7 +220,7 @@ def evaluate_epoch(
 
     return EpochRecord(
         epoch=epoch,
-        quantile_loss=breakdown.total,
+        quantile_loss=loss,
         paired_mse=mse,
         wasserstein2=w2,
         flag=flag,
@@ -242,7 +241,10 @@ def train(
     The trace carries one record per epoch plus a pre-training record at
     epoch 0, so initial/final metric ratios are well-defined. Each record
     forwards the full cloud once, and the next full-batch step reuses it;
-    the last record's cloud is kept as `trace.adapted`.
+    the last record's cloud is kept as `trace.adapted`. A cloud that is
+    non-finite or spreads more than DIVERGENCE_SPREAD times wider than the
+    source features (or the starting cloud, if wider) gets no record: the
+    run stops, sets `trace.divergence` and returns the last record's adapter.
     """
     cfg.validate(source_feats.n, target.n)
     if fmap.out_dim != source_feats.dim:
@@ -254,9 +256,7 @@ def train(
         refs = select_references(source_feats, cfg.reference_count, cfg.seed, labels=source_labels)
     except ValueError as exc:
         raise ConfigError(f"cannot select references: {exc}") from exc
-    src_mean = source_feats.points.mean(axis=0)
-    src_std = source_feats.points.std(axis=0, ddof=1)
-    reg_args = (cfg.reg_weight, src_mean, src_std)
+    spread_scale = rms_spread(source_feats.points)
 
     n = target.n
     rng = SplitMix64.stream("trainer_batches", cfg.seed)
@@ -270,7 +270,7 @@ def train(
 
         if epoch > 0 and cfg.full_batch:
             # the previous record's forward is at the current parameters
-            _, point_grads = quantile_loss_on_points(adapted, refs, *reg_args)
+            _, point_grads = quantile_loss_on_points(adapted, refs)
             param_grad = _chain_param_grad(adapter, fmap, target.points, transformed, point_grads)
             grad_norm = float(np.linalg.norm(param_grad))
             try:
@@ -284,7 +284,7 @@ def train(
                 xb = target.points[batch]
                 tb = adapter.forward_cloud(xb)
                 yb = fmap.forward_cloud(tb)
-                point_grads = minibatch_point_grads(yb, batch, bank, refs, *reg_args)
+                point_grads = minibatch_point_grads(yb, batch, bank, refs)
                 param_grad = _chain_param_grad(adapter, fmap, xb, tb, point_grads)
                 grad_norm = float(np.linalg.norm(param_grad))
                 try:
@@ -294,6 +294,13 @@ def train(
 
         transformed = adapter.forward_cloud(target.points)
         adapted = fmap.forward_cloud(transformed)
+        # stop before a blown-up cloud reaches the loss or the oracles
+        ratio = rms_spread(adapted) / spread_scale if np.all(np.isfinite(adapted)) else math.inf
+        if epoch == 0:
+            spread_scale *= max(1.0, ratio)
+        elif ratio > DIVERGENCE_SPREAD:
+            trace.divergence = (epoch, ratio)
+            break
         on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
         rec = evaluate_epoch(
             adapted,
@@ -302,9 +309,6 @@ def train(
             pairing,
             epoch=epoch,
             compute_wasserstein=on_cadence,
-            reg_weight=cfg.reg_weight,
-            source_mean=src_mean,
-            source_std=src_std,
         )
         # in minibatch mode, refresh the bank for the next epoch when due
         outgoing = bank
@@ -318,6 +322,6 @@ def train(
         rec.grad_norm = grad_norm
         rec.flag = ";".join(x for x in (rec.flag, flag) if x)
         trace.records.append(rec)
+        trace.adapted, trained = adapted, adapter
 
-    trace.adapted = adapted
-    return adapter, trace
+    return trained, trace

@@ -137,8 +137,8 @@ def test_criterion_4_distribution_equality_null():
         source = random_cloud(rng, 30, d)
         refs = select_references(source, 10, seed=4)
         permuted = PointCloud(source.points[rng.permutation(30)])
-        bd, _ = quantile_loss_on_points(permuted.points, refs, want_grad=False)
-        worst = max(worst, bd.total)
+        loss, _ = quantile_loss_on_points(permuted.points, refs, want_grad=False)
+        worst = max(worst, loss)
     ok = worst <= 1e-12
     report(4, ok, f"permutation-null loss worst {worst:.2e} (<= 1e-12)")
 
@@ -171,14 +171,14 @@ def test_criterion_5_pipeline_gradient_correctness():
         if adapter.n_params:
             def loss_theta(theta):
                 pts = fmap.forward_cloud(adapter.with_params(theta).forward_cloud(target))
-                return quantile_loss_on_points(pts, refs, want_grad=False)[0].total
+                return quantile_loss_on_points(pts, refs, want_grad=False)[0]
 
             numeric = finite_diff_grad(loss_theta, adapter.params)
             rel = np.max(np.abs(param_grad - numeric)) / (1.0 + np.max(np.abs(param_grad)))
         else:
             def loss_points(flat):
                 pts = fmap.forward_cloud(adapter.forward_cloud(flat.reshape(14, d)))
-                return quantile_loss_on_points(pts, refs, want_grad=False)[0].total
+                return quantile_loss_on_points(pts, refs, want_grad=False)[0]
 
             numeric = finite_diff_grad(loss_points, target.ravel())
             rel = np.max(np.abs(input_grads.ravel() - numeric)) / (1.0 + np.max(np.abs(input_grads)))

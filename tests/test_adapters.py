@@ -120,8 +120,8 @@ class TestFeatureMaps:
         rng = SplitMix64.stream("fixed_affine", 6)
         fm = make_feature_map("fixed_affine", 2, out_dim=3, seed=4)
         assert fm.matrix.shape == (3, 2)
-        np.testing.assert_array_equal(fm.offset, np.zeros(3))
         cloud = PointCloud(rng.normals((8, 2)))
+        np.testing.assert_array_equal(fm.forward_cloud(cloud.points), cloud.points @ fm.matrix.T)
         out = fm.forward_cloud(make_adapter("identity", 2).forward_cloud(cloud.points))
         np.testing.assert_allclose(out, cloud.points @ fm.matrix.T, atol=1e-15)
 

@@ -118,6 +118,11 @@ class TestRun:
             ("epochs = 10", "epochs = 10\nepochs = 11"),
             ("reference_count = 20", "reference_count = 21"),
             ("full_batch = true", "full_batch = ture"),
+            ("learning_rate = 0.3", "learning_rate = nan"),
+            ("learning_rate = 0.3", "learning_rate = inf"),
+            ("init_rotation_deg = 45", "init_rotation_deg = nan"),
+            ("noise_sigma = 0.03", "noise_sigma = -1"),
+            ("noise_sigma = 0.03", "noise_sigma = nan"),
         ],
         ids=[
             "three_blob_counts",
@@ -127,6 +132,11 @@ class TestRun:
             "duplicate_key",
             "references_not_split_by_classes",
             "misspelt_full_batch",
+            "nan_learning_rate",
+            "infinite_learning_rate",
+            "nan_init_rotation",
+            "negative_noise_sigma",
+            "nan_noise_sigma",
         ],
     )
     def test_config_mistake_exits_2(self, tmp_path, capsys, old, new):
@@ -157,12 +167,13 @@ class TestRun:
 
     def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG.replace("learning_rate = 0.3", "learning_rat = 0.5\nwasserstein_max_size = 64"))
+        bad.write_text(TINY_CONFIG.replace("learning_rate = 0.3", "learning_rat = 0.5\nwasserstein_max_size = 64\nreg_weight = 0.0"))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "config"
         assert "[train] learning_rat" in payload["message"]
         assert "[train] wasserstein_max_size" in payload["message"]
+        assert "[train] reg_weight" in payload["message"]
 
     def test_unknown_section_exits_2_and_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -171,6 +182,54 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "config"
         assert "[trian]" in payload["message"]
+
+    def test_divergence_stops_and_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace("learning_rate = 0.3", "learning_rate = 1e6"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "diverged"
+        assert payload["epoch"] >= 1 and payload["spread_ratio"] > 1e3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flags"]["diverged"] is True
+        assert summary["flags"]["mse_plateau"] is False
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) == 1 + payload["epoch"]  # header plus the records before the stop
+
+    # Final values of the tiny config in full batch and in bank mode; rtol=1e-9
+    # catches a changed formula but lets ulp-level kernel changes through.
+    @pytest.mark.parametrize(
+        "edits, loss, mse, params",
+        [
+            (
+                {},
+                0.0061477481503612146,
+                3.696804373422038,
+                [0.7051738005873043, -0.8090461054628236, 0.5456259589395132,
+                 0.9766072808366885, 0.005520454761451033, -0.011807611357381552],
+            ),
+            (
+                {"epochs = 10": "epochs = 3", "batch_size = 60": "batch_size = 16", "full_batch = true": "full_batch = false"},
+                0.0038806895492278226,
+                3.7544800627370134,
+                [0.6919379466744051, -0.846183129350616, 0.48932257548114566,
+                 1.0534429916818882, -0.005471191631626394, -0.019047396767877554],
+            ),
+        ],
+        ids=["full_batch", "bank"],
+    )
+    def test_final_values_are_pinned(self, tmp_path, edits, loss, mse, params):
+        text = TINY_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        np.testing.assert_allclose(summary["final_metrics"]["quantile_loss"], loss, rtol=1e-9)
+        np.testing.assert_allclose(summary["final_metrics"]["paired_mse"], mse, rtol=1e-9)
+        np.testing.assert_allclose(summary["adapter_params"], params, rtol=1e-9)
 
     def test_config_echoed_into_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from quantmatch import (
     PointCloud,
-    batch_stat_penalty,
     finite_diff_grad,
     g_r,
     h_r,
@@ -13,7 +12,6 @@ from quantmatch import (
     select_references,
 )
 from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
-from quantmatch.loss import batch_stat_penalty_grad
 from quantmatch.rng import SplitMix64
 
 
@@ -28,8 +26,8 @@ def labeled_source(n_per_class, classes, d, seed=0):
 
 
 def loss_total(points, refs):
-    breakdown, _ = quantile_loss_on_points(points, refs, want_grad=False)
-    return breakdown.total
+    total, _ = quantile_loss_on_points(points, refs, want_grad=False)
+    return total
 
 
 def random_rotation(rng, d):
@@ -118,19 +116,8 @@ class TestQuantileLoss:
         adapted = PointCloud(source.points + np.array([10.0, 0.0]))
         got, _ = quantile_loss_on_points(adapted.points, refs, want_grad=False)
         want = brute_force_loss(adapted.points, refs)
-        assert got.total > 0
-        assert got.total == pytest.approx(want, abs=1e-12)
-
-    def test_breakdown_identity(self):
-        rng = SplitMix64.stream("breakdown", 2)
-        source = PointCloud(rng.normals((25, 3)))
-        refs = select_references(source, 7, seed=4)
-        adapted = PointCloud(rng.normals((25, 3)) + 0.3)
-        mean = source.points.mean(axis=0)
-        std = source.points.std(axis=0, ddof=1)
-        bd, _ = quantile_loss_on_points(adapted.points, refs, 0.1, mean, std, want_grad=False)
-        assert np.all(bd.per_reference >= 0)
-        assert bd.total == pytest.approx(bd.per_reference.mean() + 0.1 * bd.regularizer, abs=1e-10)
+        assert got > 0
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_nonnegative(self):
         # indices lie in the unit ball, so each squared discrepancy is at most 4
@@ -193,26 +180,6 @@ class TestQuantileLossGrad:
         grads = quantile_loss_on_points(adapted.points, refs)[1]
         assert grads[:, 0].mean() > 0  # descent direction points back toward the source
 
-    def test_gradient_with_regularizer(self):
-        rng = SplitMix64.stream("grad_reg", 5)
-        n, d = 15, 2
-        source = PointCloud(rng.normals((n, d)))
-        refs = select_references(source, 5, seed=9)
-        adapted = rng.normals((n, d)) + 0.2
-        mean = source.points.mean(axis=0)
-        std = source.points.std(axis=0, ddof=1)
-
-        def flat_loss(flat):
-            bd, _ = quantile_loss_on_points(
-                flat.reshape(n, d), refs, 0.3, mean, std, want_grad=False
-            )
-            return bd.total
-
-        analytic = quantile_loss_on_points(adapted, refs, 0.3, mean, std)[1]
-        numeric = finite_diff_grad(flat_loss, adapted.ravel())
-        rel = np.max(np.abs(analytic.ravel() - numeric)) / (1.0 + np.max(np.abs(analytic)))
-        assert rel < 1e-4
-
 
 class TestComposite:
     def test_h_r_normalization(self):
@@ -257,51 +224,3 @@ class TestComposite:
                 ]
             )
             assert composite == pytest.approx(loss_total(adapted.points, refs), abs=1e-12)
-
-
-class TestBatchStatPenalty:
-    def test_zero_when_moments_match(self):
-        rng = SplitMix64.stream("penalty", 9)
-        source = PointCloud(rng.normals((30, 3)))
-        mean = source.points.mean(axis=0)
-        std = source.points.std(axis=0, ddof=1)
-        assert batch_stat_penalty(source, mean, std) == pytest.approx(0.0, abs=1e-20)
-
-    def test_mean_shift_only(self):
-        rng = SplitMix64.stream("penalty_shift", 10)
-        source = PointCloud(rng.normals((30, 3)))
-        c = np.array([1.0, -2.0, 0.5])
-        mean = source.points.mean(axis=0)
-        std = source.points.std(axis=0, ddof=1)
-        got = batch_stat_penalty(PointCloud(source.points + c), mean, std)
-        assert got == pytest.approx(float(np.sum(c**2)), abs=1e-10)
-
-    def test_std_doubling(self):
-        rng = SplitMix64.stream("penalty_scale", 11)
-        source = PointCloud(rng.normals((40, 2)))
-        mean = source.points.mean(axis=0)
-        std = source.points.std(axis=0, ddof=1)
-        doubled = PointCloud(2.0 * (source.points - mean) + mean)
-        got = batch_stat_penalty(doubled, mean, std)
-        assert got == pytest.approx(float(np.sum(std**2)), abs=1e-10)
-
-    def test_rejects_tiny_cloud(self):
-        with pytest.raises(DegenerateCloudError):
-            batch_stat_penalty(np.array([[1.0, 2.0]]), [0.0, 0.0], [1.0, 1.0])
-
-    def test_rejects_nonpositive_std(self):
-        with pytest.raises(ValueError):
-            batch_stat_penalty(np.zeros((3, 2)) + [[1], [2], [3]], [0.0, 0.0], [1.0, 0.0])
-
-    def test_gradient_matches_finite_differences(self):
-        rng = SplitMix64.stream("penalty_grad", 12)
-        pts = rng.normals((12, 3))
-        mean, std = np.zeros(3), np.ones(3)
-
-        def flat(p):
-            return batch_stat_penalty(p.reshape(12, 3), mean, std)
-
-        analytic = batch_stat_penalty_grad(pts, mean, std)
-        numeric = finite_diff_grad(flat, pts.ravel())
-        rel = np.max(np.abs(analytic.ravel() - numeric)) / (1.0 + np.max(np.abs(analytic)))
-        assert rel < 1e-4

@@ -22,7 +22,13 @@ from quantmatch import (
 )
 from quantmatch.adapters import Adapter
 from quantmatch.bank import lemma_variance, per_sample_units, population_moments
-from quantmatch.trainer import ConfigError, NonFiniteGradientError, minibatch_point_grads
+from quantmatch.trainer import (
+    DIVERGENCE_SPREAD,
+    ConfigError,
+    NonFiniteGradientError,
+    minibatch_point_grads,
+    rms_spread,
+)
 from quantmatch.rng import SplitMix64
 
 CORRUPTION = Corruption.linear([[1.25, 0.2], [-0.15, 0.9]])
@@ -145,6 +151,24 @@ class TestTrainBasics:
         _, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg)
         ql = trace.column("quantile_loss")
         assert np.all(ql[1:] <= ql[:-1] + 1e-9)
+
+    def test_divergence_stops_at_the_last_record(self):
+        clean, target, src, fmap = sixblobs_setup()
+        cfg = cfg_for(clean.n, epochs=5, learning_rate=1e6)
+        out, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg, pairing=target.pairing)
+        epoch, ratio = trace.divergence
+        assert ratio > DIVERGENCE_SPREAD
+        assert [r.epoch for r in trace.records] == list(range(epoch))
+        # the returned adapter and trace.adapted both belong to the last record
+        assert rms_spread(trace.adapted) <= DIVERGENCE_SPREAD * rms_spread(src.points)
+        np.testing.assert_array_equal(trace.adapted, fmap.forward_cloud(out.forward_cloud(target.cloud.points)))
+
+    def test_target_wider_than_source_is_not_divergence(self):
+        clean, _, src, fmap = sixblobs_setup()
+        wide = apply_corruption(clean, Corruption.linear([[1e4, 0.0], [0.0, 1e4]]))
+        _, trace = train(src, wide.cloud, make_adapter("affine", 2), fmap, cfg_for(clean.n, epochs=5))
+        assert trace.divergence is None
+        assert len(trace.records) == 6
 
 
 class TestForwardCount:
