@@ -36,7 +36,7 @@ def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
     the control-variate cancellation and unbiasedness hold exactly.
     """
     units, _, _ = unit_directions(points, ref_points)
-    return units
+    return np.ascontiguousarray(units.transpose(1, 2, 0))
 
 
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -31,7 +32,7 @@ from .datasets import (
 from .geometry import PointCloud, geometric_quantile
 from .loss import quantile_loss_on_points, select_references
 from .rng import SplitMix64
-from .trainer import ConfigError, TrainConfig, _chain_param_grad, train
+from .trainer import ConfigError, TrainConfig, _chain_param_grad, minibatch_point_grads, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -329,6 +330,39 @@ def verify_gradients(seed: int, lines: list[str]) -> bool:
     return ok_all
 
 
+def verify_minibatch_gradients(n: int, b: int, seed: int, lines: list[str]) -> bool:
+    """The bank's batch gradient, averaged over every b-subset at theta_snap, is the full-batch gradient."""
+    rng = SplitMix64.stream("verify_minibatch_gradients", seed)
+    ok_all = True
+    for kind in ("affine", "mlp1"):
+        d = 3
+        source = PointCloud(rng.normals((n, d)))
+        target = PointCloud(rng.normals((n, d)) + 0.5)
+        fmap = make_feature_map("identity", d)
+        adapter = make_adapter(kind, d, hidden=5, seed=seed)
+        refs = select_references(source, min(4, n), seed)
+
+        transformed = adapter.forward_cloud(target.points)
+        adapted = fmap.forward_cloud(transformed)
+        _, point_grads = quantile_loss_on_points(adapted, refs)
+        full = _chain_param_grad(adapter, fmap, target.points, transformed, point_grads)
+
+        bank = bank_mod.initialize_bank(PointCloud(adapted), refs)
+        total = np.zeros_like(full)
+        count = 0
+        for combo in oracles.enumerate_batches(n, b):
+            batch = np.asarray(combo, dtype=int)
+            xb = target.points[batch]
+            tb = adapter.forward_cloud(xb)
+            grads = minibatch_point_grads(fmap.forward_cloud(tb), batch, bank, refs)
+            total += _chain_param_grad(adapter, fmap, xb, tb, grads)
+            count += 1
+        rel = float(np.max(np.abs(total / count - full)) / (1.0 + np.max(np.abs(full))))
+        ok = rel <= 1e-12
+        ok_all &= _report(lines, ok, f"minibatch-gradients[{kind}]", f"{count} batches, max relative error {rel:.3e}")
+    return ok_all
+
+
 def verify_wasserstein(seed: int, lines: list[str]) -> bool:
     rng = SplitMix64.stream("verify_wasserstein", seed)
     a = rng.normals((6, 2))
@@ -361,13 +395,32 @@ def cmd_run(args) -> int:
         return EXIT_FAIL
 
 
+def _verify_usage_error(args) -> str | None:
+    """Why the verify arguments cannot run, or None."""
+    if args.trials < 1:
+        return f"--trials must be >= 1, got {args.trials}"
+    if args.n < 2:
+        return f"--n must be >= 2, got {args.n}"
+    if not 1 <= args.b <= args.n:
+        return f"--b must be in [1, {args.n}], got {args.b}"
+    if args.suite in ("variance", "minibatch-gradients") and math.comb(args.n, args.b) > oracles.ENUMERATION_LIMIT:
+        return f"C({args.n}, {args.b}) batches exceed the enumeration limit {oracles.ENUMERATION_LIMIT}"
+    return None
+
+
 def cmd_verify(args) -> int:
+    problem = _verify_usage_error(args)
+    if problem is not None:
+        print(json.dumps({"error": "usage", "message": problem}))
+        return EXIT_USAGE
     lines: list[str] = []
     try:
         if args.suite == "inverse-map":
             ok = verify_inverse_map(args.trials, args.seed, lines)
         elif args.suite == "variance":
             ok = verify_variance(args.n, args.b, args.seed, lines)
+        elif args.suite == "minibatch-gradients":
+            ok = verify_minibatch_gradients(args.n, args.b, args.seed, lines)
         elif args.suite == "gradients":
             ok = verify_gradients(args.seed, lines)
         else:
@@ -391,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="run a property suite")
-    ver_p.add_argument("suite", choices=["inverse-map", "variance", "gradients", "wasserstein"])
+    ver_p.add_argument("suite", choices=["inverse-map", "variance", "gradients", "minibatch-gradients", "wasserstein"])
     ver_p.add_argument("--trials", type=int, default=100)
     ver_p.add_argument("--n", type=int, default=8)
     ver_p.add_argument("--b", type=int, default=3)

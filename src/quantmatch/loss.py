@@ -124,43 +124,75 @@ def g_r(avg, u_r) -> float:
 
 
 def unit_directions(points: np.ndarray, ref_points: np.ndarray):
-    """Unit vectors from each point toward each reference, for the loss and the bank.
+    """Unit vectors from each point toward each reference, one (R, m) plane per coordinate.
 
-    Returns (units, dist, mask): units is (R, m, d) with zero rows where the
+    Returns (units, dist, mask): units is (d, R, m) with zeros where the
     point coincides with the reference (dist < COINCIDENCE_EPS), dist is the
-    (R, m) distance and mask marks the pairs that are kept.
+    (R, m) distance and mask marks the pairs that are kept.  The squared
+    distance is added up one coordinate at a time, in coordinate order.
     """
-    diff = ref_points[:, None, :] - points[None, :, :]          # (R, m, d)
-    dist = np.linalg.norm(diff, axis=2)                          # (R, m)
+    cols = np.ascontiguousarray(points.T)                        # (d, m)
+    units = ref_points.T[:, :, None] - cols[:, None, :]          # (d, R, m) differences, scaled below
+    sq = units[0] * units[0]
+    for plane in units[1:]:
+        sq += plane * plane
+    dist = np.sqrt(sq)                                           # (R, m)
     mask = dist >= COINCIDENCE_EPS
-    units = diff / np.where(mask, dist, 1.0)[:, :, None]
-    units[~mask] = 0.0
+    if mask.all():
+        units /= dist
+    else:
+        units /= np.where(mask, dist, 1.0)
+        units[:, ~mask] = 0.0
     return units, dist, mask
 
 
+def point_sums(units: np.ndarray) -> np.ndarray:
+    """(R, d) sums of the (d, R, m) unit planes over the points, added in point order.
+
+    numpy adds along the contiguous last axis pairwise, so the sums are taken
+    over a (d, m, R) copy, whose point rows it adds one after another.
+    """
+    if units.shape[1] == 1:  # one reference: its points would be the contiguous axis again
+        sums = np.cumsum(units, axis=2)[..., -1]
+    else:
+        sums = np.ascontiguousarray(units.transpose(0, 2, 1)).sum(axis=1)
+    return np.ascontiguousarray(sums.T)
+
+
 def direction_point_grads(units: np.ndarray, resid: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """-sum_r scale[r, j] * (I - v v^T) resid[r] for v = units[r, j], one row per point.
+    """-sum_r scale[r, j] * (I - v v^T) resid[r] for v = units[:, r, j], one row per point.
 
     This is the point gradient of a loss in the residuals of averaged unit
     vectors, since d v / d x_j = -(I - v v^T) / dist_rj.  The caller's (R, m)
     scale carries 1/dist_rj, the averaging weight and the loss's own factor.
+    Works one (R, m) coordinate plane at a time; returns an (m, d) array.
     """
-    dots = np.einsum("rjd,rd->rj", units, resid)                 # (R, m)
-    contrib = resid[:, None, :] - units * dots[:, :, None]       # (R, m, d)
-    return -(contrib * scale[:, :, None]).sum(axis=0)
+    d, _, m = units.shape
+    dots = units[0] * resid[:, 0, None]                          # (R, m)
+    for k in range(1, d):
+        dots += units[k] * resid[:, k, None]
+    terms = ((resid[:, k, None] - plane * dots) * scale for k, plane in enumerate(units))
+    if m == 1:
+        # numpy adds a lone (R, 1) column pairwise, but an (R, d) block row by row
+        return -np.hstack(list(terms)).sum(axis=0, keepdims=True)
+    grads = np.empty((m, d))
+    for k, term in enumerate(terms):
+        grads[:, k] = term.sum(axis=0)
+    return -grads
 
 
 def index_averages(points: np.ndarray, ref_points: np.ndarray):
     """Per-reference averaged unit vectors from the points toward each reference.
 
     Returns (avgs, dist, units, mask): avgs is (R, d) with coincident pairs
-    excluded and the mean renormalized by the surviving count.
+    excluded and the mean renormalized by the surviving count; units is the
+    (d, R, m) array of unit_directions.
     """
     units, dist, mask = unit_directions(points, ref_points)
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise DegenerateCloudError("a reference coincides with every adapted point")
-    avgs = units.sum(axis=1) / counts[:, None]
+    avgs = point_sums(units) / counts[:, None]
     return avgs, dist, units, mask
 
 

@@ -13,6 +13,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .geometry import DimensionMismatchError, PointCloud
 
@@ -70,7 +71,7 @@ def wasserstein2(a, b) -> TransportPlan:
         raise ValueError("exact mode requires equal-size clouds")
     if pa.shape[0] > MAX_EXACT_SIZE:
         raise ValueError(f"cloud size {pa.shape[0]} exceeds exact-mode cap {MAX_EXACT_SIZE}")
-    sq = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
+    sq = cdist(pa, pb, "sqeuclidean")
     rows, cols = linear_sum_assignment(sq)
     assignment = np.empty(pa.shape[0], dtype=int)
     assignment[rows] = cols

@@ -29,6 +29,7 @@ from .geometry import PointCloud
 from .loss import (
     ReferenceSet,
     direction_point_grads,
+    point_sums,
     quantile_loss_on_points,
     select_references,
     unit_directions,
@@ -187,9 +188,9 @@ def minibatch_point_grads(
     only yb's own units carry gradient.
     """
     b = yb.shape[0]
-    units, dist, mask = unit_directions(yb, refs.quantiles)           # (R, b, d)
+    units, dist, mask = unit_directions(yb, refs.quantiles)           # (d, R, b)
     snap_units = bank.snapshot_units[:, batch]
-    estimate = control_variate_estimate(bank, units.mean(axis=1), snap_units.mean(axis=1))
+    estimate = control_variate_estimate(bank, point_sums(units) / b, snap_units.mean(axis=1))
     resid = estimate - refs.target_indices                             # (R, d)
     scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
     return direction_point_grads(units, resid, scale)

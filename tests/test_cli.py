@@ -260,6 +260,32 @@ class TestVerify:
         assert main(["verify", "inverse-map", "--trials", "10", "--seed", "0"]) == 0
         assert "10/10" in capsys.readouterr().out
 
+    def test_minibatch_gradients_suite(self, capsys):
+        assert main(["verify", "minibatch-gradients"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS minibatch-gradients[affine]: 56 batches" in out
+        assert "PASS minibatch-gradients[mlp1]: 56 batches" in out
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["inverse-map", "--trials", "-3"], "--trials"),
+            (["inverse-map", "--trials", "0"], "--trials"),
+            (["variance", "--n", "3", "--b", "5"], "--b"),
+            (["variance", "--b", "0"], "--b"),
+            (["variance", "--n", "1", "--b", "1"], "--n"),
+            (["minibatch-gradients", "--n", "3", "--b", "4"], "--b"),
+            (["minibatch-gradients", "--n", "40", "--b", "20"], "C(40, 20)"),
+        ],
+    )
+    def test_bad_suite_arguments_exit_2_before_running(self, argv, named, capsys):
+        assert main(["verify", *argv]) == 2
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1
+        error = json.loads(out[0])
+        assert error["error"] == "usage"
+        assert named in error["message"]
+
     def test_usage_error_exit_code(self):
         assert main(["verify", "not-a-suite"]) == 2
         assert main([]) == 2

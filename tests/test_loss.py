@@ -11,8 +11,11 @@ from quantmatch import (
     quantile_loss_on_points,
     select_references,
 )
+from quantmatch.bank import MemoryBank, per_sample_units
 from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
+from quantmatch.loss import ReferenceSet, index_averages, unit_directions
 from quantmatch.rng import SplitMix64
+from quantmatch.trainer import minibatch_point_grads
 
 
 def labeled_source(n_per_class, classes, d, seed=0):
@@ -224,3 +227,108 @@ class TestComposite:
                 ]
             )
             assert composite == pytest.approx(loss_total(adapted.points, refs), abs=1e-12)
+
+
+def broadcast_units(points, ref_points):
+    """(dist, mask, units) in the direct (R, m, d) broadcast form."""
+    diff = ref_points[:, None, :] - points[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    mask = dist >= 1e-12
+    units = diff / np.where(mask, dist, 1.0)[:, :, None]
+    units[~mask] = 0.0
+    return dist, mask, units
+
+
+def broadcast_point_grads(units, resid, scale):
+    # a broadcast sum, not an einsum: numpy's vectorised einsum adds three or
+    # more coordinates in another order
+    dots = np.sum(units * resid[:, None, :], axis=2)
+    contrib = resid[:, None, :] - units * dots[:, :, None]
+    return -(contrib * scale[:, :, None]).sum(axis=0)
+
+
+def broadcast_oracle(points, refs):
+    """(dist, mask, units, avgs, total, grads, scale) in the (R, m, d) broadcast form.
+
+    scale holds the (R, m) weights of the point gradient.
+    """
+    dist, mask, units = broadcast_units(points, refs.quantiles)
+    counts = mask.sum(axis=1)
+    avgs = units.sum(axis=1) / counts[:, None]
+    resid = avgs - refs.target_indices
+    total = float(np.sum(resid**2, axis=1).mean())
+    scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
+    scale *= 2.0 / refs.count
+    return dist, mask, units, avgs, total, broadcast_point_grads(units, resid, scale), scale
+
+
+def broadcast_minibatch_grads(yb, batch, snapshot_units, refs):
+    """The batch point gradients and their (R, b) weights."""
+    dist, mask, units = broadcast_units(yb, refs.quantiles)
+    snap = snapshot_units[:, batch]
+    estimate = (units.mean(axis=1) - snap.mean(axis=1)) + snapshot_units.mean(axis=1)
+    scale = np.where(mask, 2.0 / (refs.count * len(batch) * dist.clip(min=1e-300)), 0.0)
+    return broadcast_point_grads(units, estimate - refs.target_indices, scale), scale
+
+
+@st.composite
+def kernel_cases(draw, dims):
+    """A cloud, at random with a coincident pair and a point on or next to a reference; a batch; a snapshot."""
+    d = draw(st.sampled_from(dims))
+    r = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 40))
+    rng = SplitMix64(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normals((m, d)) * 10.0 ** draw(st.integers(-3, 3))
+    ref_points = rng.normals((r, d))
+    if m > 1 and draw(st.booleans()):
+        points[-1] = points[0]
+    if m > 1 and draw(st.booleans()):
+        points[m // 2] = ref_points[0] + draw(st.sampled_from([0.0, 1e-13]))  # within COINCIDENCE_EPS
+    target = rng.normals((r, d))
+    target *= 0.9 * rng.uniform() / np.linalg.norm(target, axis=1, keepdims=True)
+    batch = np.sort(np.asarray(rng.sample_without_replacement(m, 1 + rng.randbelow(m)), dtype=int))
+    snapshot = points + 0.01 * rng.normals((m, d))
+    return points, ReferenceSet(quantiles=ref_points, target_indices=target), batch, snapshot
+
+
+def kernel_pairs(points, refs, batch, snapshot):
+    """(name, plane-kernel value, oracle value, size) for every output of the kernel.
+
+    size is the scale rounding errors are measured against: 1 for unit
+    vectors and the loss, and for a gradient the largest per-point sum of its
+    weights, since residuals are differences of unit-vector averages.
+    """
+    dist, mask, units, avgs, total, grads, scale = broadcast_oracle(points, refs)
+    got_units, got_dist, got_mask = unit_directions(points, refs.quantiles)
+    got_total, got_grads = quantile_loss_on_points(points, refs)
+    snap_units = broadcast_units(snapshot, refs.quantiles)[2]
+    bank = MemoryBank(snapshot_units=snap_units, snapshot_avgs=snap_units.mean(axis=1))
+    batch_grads, batch_scale = broadcast_minibatch_grads(points[batch], batch, snap_units, refs)
+    return [
+        ("dist", got_dist, dist, np.max(dist)),
+        ("mask", got_mask, mask, None),
+        ("units", got_units.transpose(1, 2, 0), units, 1.0),
+        ("per_sample_units", per_sample_units(points, refs.quantiles), units, 1.0),
+        ("avgs", index_averages(points, refs.quantiles)[0], avgs, 1.0),
+        ("loss", got_total, total, 1.0),
+        ("grads", got_grads, grads, np.max(scale.sum(axis=0))),
+        ("minibatch_grads", minibatch_point_grads(points[batch], batch, bank, refs), batch_grads, np.max(batch_scale.sum(axis=0))),
+    ]
+
+
+class TestPlaneKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(dims=range(1, 8)))
+    def test_bit_identical_to_broadcast_form_below_8_coordinates(self, case):
+        for name, got, want, _ in kernel_pairs(*case):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases(dims=(8, 16)))
+    def test_within_1e_14_of_broadcast_form_from_8_coordinates(self, case):
+        # from 8 coordinates numpy's norm adds the squares in another order than the planes
+        for name, got, want, size in kernel_pairs(*case):
+            if size is None:
+                np.testing.assert_array_equal(got, want, err_msg=name)
+            else:
+                assert np.max(np.abs(np.asarray(got) - want)) <= 1e-14 * size, name
