@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DimensionMismatchError, PointCloud
-from .loss import ReferenceSet, unit_directions
+from .loss import ReferenceSet, plane_dot, point_sums, unit_directions
 from .oracles import ENUMERATION_LIMIT, enumerate_batches
 from .rng import SplitMix64
 
@@ -24,29 +24,28 @@ from .rng import SplitMix64
 class MemoryBank:
     """Snapshot unit vectors and their per-reference averages."""
 
-    snapshot_units: np.ndarray  # (R, n, d) unit vectors toward each reference at theta_snap
+    snapshot_units: np.ndarray  # (d, R, n) unit planes toward each reference at theta_snap
     snapshot_avgs: np.ndarray   # (R, d) per-reference mean unit vectors at theta_snap
 
 
 def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
-    """(R, n, d) unit vectors from each point toward each reference.
+    """(d, R, n) unit planes from each point toward each reference, as unit_directions builds them.
 
     Coincident pairs contribute a zero vector without renormalization; this
     keeps every batch/population average linear in the per-sample terms, so
     the control-variate cancellation and unbiasedness hold exactly.
     """
-    units, _, _ = unit_directions(points, ref_points)
-    return np.ascontiguousarray(units.transpose(1, 2, 0))
+    return unit_directions(points, ref_points)[0]
 
 
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
     units = per_sample_units(adapted.points, refs.quantiles)
-    return MemoryBank(snapshot_units=units, snapshot_avgs=units.mean(axis=1))
+    return MemoryBank(snapshot_units=units, snapshot_avgs=point_sums(units) / adapted.n)
 
 
 def refresh_snapshot(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
     """Recompute the snapshot at the current parameters."""
-    if adapted.n != bank.snapshot_units.shape[1]:
+    if adapted.n != bank.snapshot_units.shape[2]:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
     return initialize_bank(adapted, refs)
 
@@ -67,19 +66,14 @@ class EstimatorDiagnostics:
 
 
 def population_moments(a_units: np.ndarray, s_units: np.ndarray):
-    """Per-reference variances and cross-covariance of the unit-vector populations.
+    """Per-reference variances and cross-covariance of two (d, R, n) unit-plane populations.
 
     Returns (sigma_a2, sigma_s2, sigma_as), each (R,), using the expected
     squared-norm convention.
     """
-    a_mean = a_units.mean(axis=1)
-    s_mean = s_units.mean(axis=1)
-    da = a_units - a_mean[:, None, :]
-    ds = s_units - s_mean[:, None, :]
-    sigma_a2 = np.mean(np.sum(da**2, axis=2), axis=1)
-    sigma_s2 = np.mean(np.sum(ds**2, axis=2), axis=1)
-    sigma_as = np.mean(np.sum(da * ds, axis=2), axis=1)
-    return sigma_a2, sigma_s2, sigma_as
+    n = a_units.shape[2]
+    da, ds = (units - (point_sums(units) / n).T[:, :, None] for units in (a_units, s_units))
+    return plane_dot(da, da).mean(axis=1), plane_dot(ds, ds).mean(axis=1), plane_dot(da, ds).mean(axis=1)
 
 
 def lemma_variance(sigma2: float, n: int, b: int) -> float:
@@ -91,12 +85,10 @@ def _batch_iter(n: int, b: int, mode: str, draws: int, seed: int):
     if mode == "exhaustive":
         for combo in enumerate_batches(n, b):
             yield np.asarray(combo, dtype=int)
-    elif mode == "monte_carlo":
+    else:
         rng = SplitMix64.stream("estimator_variance", seed)
         for _ in range(draws):
             yield np.asarray(rng.sample_without_replacement(n, b), dtype=int)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
 
 def estimator_variance(
@@ -120,20 +112,25 @@ def estimator_variance(
         raise DimensionMismatchError("current and snapshot clouds differ in size")
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
-    if mode == "exhaustive" and math.comb(n, b) > ENUMERATION_LIMIT:
-        raise ValueError(f"exhaustive mode limited to C(n, b) <= {ENUMERATION_LIMIT}")
+    if mode == "exhaustive":
+        if math.comb(n, b) > ENUMERATION_LIMIT:
+            raise ValueError(f"exhaustive mode limited to C(n, b) <= {ENUMERATION_LIMIT}")
+    elif mode != "monte_carlo":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif draws < 1:
+        raise ValueError(f"monte_carlo mode needs draws >= 1, got {draws}")
 
     a_units = per_sample_units(adapted_t.points, refs.quantiles)
     s_units = per_sample_units(adapted_snap.points, refs.quantiles)
-    a_mean = a_units.mean(axis=1)
-    s_mean = s_units.mean(axis=1)
+    a_mean = point_sums(a_units) / n
+    s_mean = point_sums(s_units) / n
 
     crude_sq = 0.0
     control_sq = 0.0
     count = 0
     for batch in _batch_iter(n, b, mode, draws, seed):
-        a_hat = a_units[:, batch, :].mean(axis=1)
-        s_hat = s_units[:, batch, :].mean(axis=1)
+        a_hat = point_sums(a_units[:, :, batch]) / b
+        s_hat = point_sums(s_units[:, :, batch]) / b
         crude_sq += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
         est = a_hat + (s_mean - s_hat)
         control_sq += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))

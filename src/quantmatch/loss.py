@@ -123,6 +123,14 @@ def g_r(avg, u_r) -> float:
     return float(np.sum((avg - u_r) ** 2))
 
 
+def plane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[k] * b[k] over the leading coordinate axis, in coordinate order (numpy adds 8 or more pairwise)."""
+    total = a[0] * b[0]
+    for ak, bk in zip(a[1:], b[1:]):
+        total += ak * bk
+    return total
+
+
 def unit_directions(points: np.ndarray, ref_points: np.ndarray):
     """Unit vectors from each point toward each reference, one (R, m) plane per coordinate.
 
@@ -130,13 +138,16 @@ def unit_directions(points: np.ndarray, ref_points: np.ndarray):
     point coincides with the reference (dist < COINCIDENCE_EPS), dist is the
     (R, m) distance and mask marks the pairs that are kept.  The squared
     distance is added up one coordinate at a time, in coordinate order.
+    Points that are not (m, d) for the references' d raise
+    DimensionMismatchError here, the one check the loss and the bank share.
     """
+    if points.ndim != 2 or points.shape[1] != ref_points.shape[1]:
+        raise DimensionMismatchError(
+            f"points of shape {points.shape} do not match references of dimension {ref_points.shape[1]}"
+        )
     cols = np.ascontiguousarray(points.T)                        # (d, m)
     units = ref_points.T[:, :, None] - cols[:, None, :]          # (d, R, m) differences, scaled below
-    sq = units[0] * units[0]
-    for plane in units[1:]:
-        sq += plane * plane
-    dist = np.sqrt(sq)                                           # (R, m)
+    dist = np.sqrt(plane_dot(units, units))                      # (R, m)
     mask = dist >= COINCIDENCE_EPS
     if mask.all():
         units /= dist
@@ -168,9 +179,7 @@ def direction_point_grads(units: np.ndarray, resid: np.ndarray, scale: np.ndarra
     Works one (R, m) coordinate plane at a time; returns an (m, d) array.
     """
     d, _, m = units.shape
-    dots = units[0] * resid[:, 0, None]                          # (R, m)
-    for k in range(1, d):
-        dots += units[k] * resid[:, k, None]
+    dots = plane_dot(units, resid.T[:, :, None])                 # (R, m)
     terms = ((resid[:, k, None] - plane * dots) * scale for k, plane in enumerate(units))
     if m == 1:
         # numpy adds a lone (R, 1) column pairwise, but an (R, d) block row by row
@@ -206,8 +215,6 @@ def quantile_loss_on_points(
     Takes the adapted cloud as a raw (m, d) array; the gradient, one row per
     point, is d(total)/d(point) and is None unless want_grad.
     """
-    if points.ndim != 2 or points.shape[1] != refs.dim:
-        raise DimensionMismatchError("quantile_loss_on_points: dimension mismatch")
     avgs, dist, units, mask = index_averages(points, refs.quantiles)
     resid = avgs - refs.target_indices                           # (R, d)
     total = float(np.sum(resid**2, axis=1).mean())

@@ -167,7 +167,7 @@ def rms_spread(points: np.ndarray) -> float:
 
 
 def _variance_sample(a_units: np.ndarray, s_units: np.ndarray, b: int, n: int):
-    """Closed-form crude/control variances from the current and snapshot unit arrays."""
+    """Closed-form crude/control variances from the current and snapshot (d, R, n) unit planes."""
     sigma_a2, sigma_s2, sigma_as = population_moments(a_units, s_units)
     crude = lemma_variance(float(sigma_a2.mean()), n, b)
     control = lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
@@ -189,8 +189,7 @@ def minibatch_point_grads(
     """
     b = yb.shape[0]
     units, dist, mask = unit_directions(yb, refs.quantiles)           # (d, R, b)
-    snap_units = bank.snapshot_units[:, batch]
-    estimate = control_variate_estimate(bank, point_sums(units) / b, snap_units.mean(axis=1))
+    estimate = control_variate_estimate(bank, point_sums(units) / b, point_sums(bank.snapshot_units[:, :, batch]) / b)
     resid = estimate - refs.target_indices                             # (R, d)
     scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
     return direction_point_grads(units, resid, scale)

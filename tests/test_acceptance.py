@@ -196,8 +196,9 @@ def test_criterion_6_estimator_unbiasedness():
         current = random_cloud(rng, n, 2)
         snap = PointCloud(current.points + 0.05 * rng.normals(current.points.shape))
         bank = initialize_bank(snap, refs)
-        cur_units = per_sample_units(current.points, refs.quantiles)
-        snap_units = per_sample_units(snap.points, refs.quantiles)
+        # a contiguous (R, n, d) copy of the bank's (d, R, n) planes
+        cur_units = np.ascontiguousarray(per_sample_units(current.points, refs.quantiles).transpose(1, 2, 0))
+        snap_units = np.ascontiguousarray(per_sample_units(snap.points, refs.quantiles).transpose(1, 2, 0))
         exact = cur_units.mean(axis=1)
         for b in {1, n // 2, n}:
             acc, count = 0.0, 0

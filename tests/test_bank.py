@@ -12,6 +12,7 @@ from quantmatch import (
     select_references,
 )
 from quantmatch.bank import lemma_variance, per_sample_units, population_moments
+from quantmatch.geometry import DimensionMismatchError
 from quantmatch.rng import SplitMix64
 
 
@@ -23,6 +24,14 @@ def make_instance(seed, n=10, d=2, ref_count=4, offset=0.5):
     return rng, refs, current
 
 
+def rnd_units(points, refs):
+    """The bank's (d, R, n) unit planes as a contiguous (R, n, d) array, for the direct means below.
+
+    Contiguous, so that mean(axis=1) adds the points one after another, as point_sums does.
+    """
+    return np.ascontiguousarray(per_sample_units(points, refs.quantiles).transpose(1, 2, 0))
+
+
 def batch_avg(units, batch):
     return units[:, np.asarray(batch), :].mean(axis=1)
 
@@ -31,7 +40,7 @@ class TestControlVariateEstimate:
     def test_exact_cancellation_at_snapshot(self):
         _, refs, current = make_instance(1)
         bank = initialize_bank(current, refs)
-        units = per_sample_units(current.points, refs.quantiles)
+        units = rnd_units(current.points, refs)
         for batch in ((0, 1), (2, 5, 7), tuple(range(current.n))):
             h = batch_avg(units, batch)
             est = control_variate_estimate(bank, h, h)
@@ -41,8 +50,8 @@ class TestControlVariateEstimate:
         rng, refs, current = make_instance(2)
         snap = PointCloud(current.points + 0.01 * rng.normals(current.points.shape))
         bank = initialize_bank(snap, refs)
-        cur_units = per_sample_units(current.points, refs.quantiles)
-        snap_units = per_sample_units(snap.points, refs.quantiles)
+        cur_units = rnd_units(current.points, refs)
+        snap_units = rnd_units(snap.points, refs)
         full = np.arange(current.n)
         est = control_variate_estimate(bank, batch_avg(cur_units, full), batch_avg(snap_units, full))
         np.testing.assert_allclose(est, cur_units.mean(axis=1), atol=1e-14)
@@ -51,8 +60,8 @@ class TestControlVariateEstimate:
         rng, refs, current = make_instance(3, n=6)
         snap = PointCloud(current.points + 0.05 * rng.normals(current.points.shape))
         bank = initialize_bank(snap, refs)
-        cur_units = per_sample_units(current.points, refs.quantiles)
-        snap_units = per_sample_units(snap.points, refs.quantiles)
+        cur_units = rnd_units(current.points, refs)
+        snap_units = rnd_units(snap.points, refs)
         exact = cur_units.mean(axis=1)
         acc, count = 0.0, 0
         for batch in enumerate_batches(6, 2):
@@ -69,7 +78,7 @@ class TestRefreshSnapshot:
         bank = initialize_bank(current, refs)
         moved = PointCloud(current.points + 0.1 * rng.normals(current.points.shape))
         bank = refresh_snapshot(bank, moved, refs)
-        units = per_sample_units(moved.points, refs.quantiles)
+        units = rnd_units(moved.points, refs)
         exact = units.mean(axis=1)
         for batch in ((0, 3), (1, 2, 8)):
             b = np.asarray(batch)
@@ -99,8 +108,19 @@ class TestRefreshSnapshot:
         _, refs, current = make_instance(8)
         bank = initialize_bank(current, refs)
         smaller = PointCloud(current.points[:-1])
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatchError):
             refresh_snapshot(bank, smaller, refs)
+        # as many points as references: a check on the reference axis would pass it
+        assert refs.count < current.n
+        with pytest.raises(DimensionMismatchError):
+            refresh_snapshot(bank, PointCloud(current.points[: refs.count]), refs)
+        moved = PointCloud(current.points + 0.1)
+        assert refresh_snapshot(bank, moved, refs).snapshot_units.shape[2] == current.n
+
+    def test_cloud_dimension_must_match_references(self):
+        _, refs, _ = make_instance(20)
+        with pytest.raises(DimensionMismatchError):
+            initialize_bank(PointCloud(np.arange(8.0)[:, None]), refs)
 
     def test_snapshot_avgs_inside_unit_ball(self):
         _, refs, current = make_instance(9, n=25)
@@ -115,11 +135,11 @@ class TestRefreshSnapshot:
         _, refs, current = make_instance(10 + d, n=30, d=d, ref_count=6)
         current = PointCloud(np.vstack([current.points, refs.quantiles[2:3]]))
         bank = initialize_bank(current, refs)
-        assert bank.snapshot_units.shape == (6, 31, d)
+        assert bank.snapshot_units.shape == (d, 6, 31)
         for idx in ((0, 1, 2), (30, 3, 17, 4), (5,), tuple(range(30, -1, -1))):
             idx = np.asarray(idx)
             np.testing.assert_array_equal(
-                bank.snapshot_units[:, idx], per_sample_units(current.points[idx], refs.quantiles)
+                bank.snapshot_units[:, :, idx], per_sample_units(current.points[idx], refs.quantiles)
             )
 
 
@@ -139,14 +159,20 @@ class TestEstimatorVariance:
         assert diag.crude_variance == pytest.approx(expected, abs=1e-10)
 
     def test_lemma_formula_all_small_sizes(self):
+        # the closed forms the trainer writes as crude_var and control_var,
+        # against both variances measured over every batch, snapshot != current
         for n in range(2, 13):
-            _, refs, current = make_instance(100 + n, n=n)
-            units = per_sample_units(current.points, refs.quantiles)
-            sigma_a2, _, _ = population_moments(units, units)
+            rng, refs, current = make_instance(100 + n, n=n)
+            snap = PointCloud(current.points + 0.05 * rng.normals(current.points.shape))
+            sigma_a2, sigma_s2, sigma_as = population_moments(
+                per_sample_units(current.points, refs.quantiles), per_sample_units(snap.points, refs.quantiles)
+            )
             for b in range(1, n + 1):
-                diag = estimator_variance(current, current, refs, b=b, mode="exhaustive")
-                expected = lemma_variance(float(sigma_a2.mean()), n, b)
-                assert diag.crude_variance == pytest.approx(expected, abs=1e-10), (n, b)
+                diag = estimator_variance(current, snap, refs, b=b, mode="exhaustive")
+                crude = lemma_variance(float(sigma_a2.mean()), n, b)
+                control = lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
+                assert diag.crude_variance == pytest.approx(crude, abs=1e-10), (n, b)
+                assert diag.control_variance == pytest.approx(control, abs=1e-10), (n, b)
 
     def test_variance_reduction_near_snapshot(self):
         rng = SplitMix64.stream("var_reduction", 12)
@@ -178,6 +204,23 @@ class TestEstimatorVariance:
         with pytest.raises(ValueError):
             estimator_variance(current, current, refs, b=9)
 
+    def test_invalid_mode_or_draws_rejected_before_any_units(self, monkeypatch):
+        _, refs, current = make_instance(18, n=8)
+
+        def no_units(*args):
+            raise AssertionError("unit planes built before the arguments were checked")
+
+        monkeypatch.setattr("quantmatch.bank.per_sample_units", no_units)
+        for kwargs in ({"mode": "monte_carlo", "draws": 0}, {"mode": "monte_carlo", "draws": -5}, {"mode": "sampled"}):
+            with pytest.raises(ValueError):
+                estimator_variance(current, current, refs, b=3, **kwargs)
+
+    def test_cloud_dimension_must_match_references(self):
+        _, refs, current = make_instance(19, n=8)
+        flat = PointCloud(current.points[:, :1])
+        with pytest.raises(DimensionMismatchError):
+            estimator_variance(flat, flat, refs, b=3)
+
     def test_exhaustive_combinatorial_guard(self):
         _, refs, current = make_instance(17, n=40)
         with pytest.raises(ValueError):
@@ -207,7 +250,7 @@ class TestGradientEquivalence:
 
         current = PointCloud(adapter.forward_cloud(target))
         bank = initialize_bank(current, refs)
-        cur_units = per_sample_units(current.points, refs.quantiles)
+        cur_units = rnd_units(current.points, refs)
         exact = cur_units.mean(axis=1)
         resid = exact - refs.target_indices
 

@@ -11,9 +11,10 @@ from quantmatch import (
     quantile_loss_on_points,
     select_references,
 )
-from quantmatch.bank import MemoryBank, per_sample_units
+from quantmatch.bank import MemoryBank, estimator_variance, initialize_bank, per_sample_units, population_moments
 from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
 from quantmatch.loss import ReferenceSet, index_averages, unit_directions
+from quantmatch.oracles import enumerate_batches
 from quantmatch.rng import SplitMix64
 from quantmatch.trainer import minibatch_point_grads
 
@@ -271,6 +272,25 @@ def broadcast_minibatch_grads(yb, batch, snapshot_units, refs):
     return broadcast_point_grads(units, estimate - refs.target_indices, scale), scale
 
 
+def broadcast_moments(a_units, s_units):
+    """(3, R): sigma_a2, sigma_s2 and sigma_as of two (R, n, d) unit arrays."""
+    da = a_units - a_units.mean(axis=1)[:, None, :]
+    ds = s_units - s_units.mean(axis=1)[:, None, :]
+    return np.array([np.mean(np.sum(x * y, axis=2), axis=1) for x, y in ((da, da), (ds, ds), (da, ds))])
+
+
+def broadcast_estimator_variance(a_units, s_units, b):
+    """(crude, control) variances over every b-subset, from (R, n, d) batch means."""
+    a_mean, s_mean = a_units.mean(axis=1), s_units.mean(axis=1)
+    crude = control = 0.0
+    batches = [np.asarray(batch) for batch in enumerate_batches(a_units.shape[1], b)]
+    for batch in batches:
+        a_hat, s_hat = a_units[:, batch].mean(axis=1), s_units[:, batch].mean(axis=1)
+        crude += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
+        control += float(np.mean(np.sum((a_hat + (s_mean - s_hat) - a_mean) ** 2, axis=1)))
+    return np.array([crude, control]) / len(batches)
+
+
 @st.composite
 def kernel_cases(draw, dims):
     """A cloud, at random with a coincident pair and a point on or next to a reference; a batch; a snapshot."""
@@ -292,28 +312,46 @@ def kernel_cases(draw, dims):
 
 
 def kernel_pairs(points, refs, batch, snapshot):
-    """(name, plane-kernel value, oracle value, size) for every output of the kernel.
+    """(name, plane-kernel value, oracle value, size) for every output of the kernel and of the bank code on its planes.
 
     size is the scale rounding errors are measured against: 1 for unit
-    vectors and the loss, and for a gradient the largest per-point sum of its
-    weights, since residuals are differences of unit-vector averages.
+    vectors, the loss, the moments and the variances, and for a gradient the
+    largest per-point sum of its weights, since residuals are differences of
+    unit-vector averages.
     """
     dist, mask, units, avgs, total, grads, scale = broadcast_oracle(points, refs)
     got_units, got_dist, got_mask = unit_directions(points, refs.quantiles)
     got_total, got_grads = quantile_loss_on_points(points, refs)
     snap_units = broadcast_units(snapshot, refs.quantiles)[2]
-    bank = MemoryBank(snapshot_units=snap_units, snapshot_avgs=snap_units.mean(axis=1))
+    bank = MemoryBank(snapshot_units=np.ascontiguousarray(snap_units.transpose(2, 0, 1)), snapshot_avgs=snap_units.mean(axis=1))
     batch_grads, batch_scale = broadcast_minibatch_grads(points[batch], batch, snap_units, refs)
-    return [
+    got_moments = population_moments(per_sample_units(points, refs.quantiles), per_sample_units(snapshot, refs.quantiles))
+    pairs = [
         ("dist", got_dist, dist, np.max(dist)),
         ("mask", got_mask, mask, None),
         ("units", got_units.transpose(1, 2, 0), units, 1.0),
-        ("per_sample_units", per_sample_units(points, refs.quantiles), units, 1.0),
+        ("per_sample_units", per_sample_units(points, refs.quantiles).transpose(1, 2, 0), units, 1.0),
         ("avgs", index_averages(points, refs.quantiles)[0], avgs, 1.0),
         ("loss", got_total, total, 1.0),
         ("grads", got_grads, grads, np.max(scale.sum(axis=0))),
         ("minibatch_grads", minibatch_point_grads(points[batch], batch, bank, refs), batch_grads, np.max(batch_scale.sum(axis=0))),
+        ("population_moments", np.array(got_moments), broadcast_moments(units, snap_units), 1.0),
     ]
+    m = points.shape[0]
+    if m > 1 and np.any(points != points[0]):  # a PointCloud needs two distinct points
+        cloud, snap = PointCloud(points), PointCloud(snapshot)
+        # all m subsets of m - 1 points: batch means over nearly the whole cloud
+        diag = estimator_variance(cloud, snap, refs, b=m - 1, mode="exhaustive")
+        pairs += [
+            ("snapshot_avgs", initialize_bank(snap, refs).snapshot_avgs, snap_units.mean(axis=1), 1.0),
+            (
+                "estimator_variance",
+                np.array([diag.crude_variance, diag.control_variance]),
+                broadcast_estimator_variance(units, snap_units, m - 1),
+                1.0,
+            ),
+        ]
+    return pairs
 
 
 class TestPlaneKernel:
