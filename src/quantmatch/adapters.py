@@ -166,7 +166,12 @@ def make_feature_map(
     hidden: int = 0,
     seed: int = 0,
 ) -> FeatureMap:
+    """Build a frozen feature map; hidden = 0 sizes the fixed_mlp layer as max(in_dim, out_dim, 4)."""
     out_dim = in_dim if out_dim is None else out_dim
+    if out_dim < 1:
+        raise ValueError(f"out_dim must be >= 1, got {out_dim}")
+    if hidden < 0:
+        raise ValueError(f"hidden must be >= 0, got {hidden}")
     if kind == "identity":
         if out_dim != in_dim:
             raise ValueError("identity feature map cannot change dimension")
@@ -176,7 +181,7 @@ def make_feature_map(
         m = _orthogonalish(out_dim, in_dim, rng, 1.0)
         return FeatureMap(kind=kind, in_dim=in_dim, out_dim=out_dim, matrix=m)
     if kind == "fixed_mlp":
-        if hidden < 1:
+        if hidden == 0:
             hidden = max(in_dim, out_dim, 4)
         rng = SplitMix64.stream("feature_mlp", seed)
         return FeatureMap(

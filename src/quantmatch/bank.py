@@ -105,7 +105,9 @@ def estimator_variance(
     Variances are expected squared norms of the estimate around the exact
     population average, averaged across references.  beta_star is the
     variance-optimal control coefficient sigma_as / sigma_s^2 computed from
-    population sums; the estimator itself always uses beta = 1.
+    population sums; the estimator itself always uses beta = 1.  The control
+    estimate is the trainer's: control_variate_estimate on a bank initialized
+    at the snapshot, so at theta = theta_snap it measures exactly zero.
     """
     n = adapted_t.n
     if adapted_snap.n != n:
@@ -121,9 +123,9 @@ def estimator_variance(
         raise ValueError(f"monte_carlo mode needs draws >= 1, got {draws}")
 
     a_units = per_sample_units(adapted_t.points, refs.quantiles)
-    s_units = per_sample_units(adapted_snap.points, refs.quantiles)
+    bank = initialize_bank(adapted_snap, refs)
+    s_units = bank.snapshot_units
     a_mean = point_sums(a_units) / n
-    s_mean = point_sums(s_units) / n
 
     crude_sq = 0.0
     control_sq = 0.0
@@ -132,7 +134,7 @@ def estimator_variance(
         a_hat = point_sums(a_units[:, :, batch]) / b
         s_hat = point_sums(s_units[:, :, batch]) / b
         crude_sq += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
-        est = a_hat + (s_mean - s_hat)
+        est = control_variate_estimate(bank, a_hat, s_hat)
         control_sq += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))
         count += 1
 

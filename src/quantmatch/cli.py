@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import permutations
 from pathlib import Path
 
@@ -20,15 +21,8 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import oracles
-from .adapters import Adapter, FeatureMap, make_adapter, make_feature_map
-from .datasets import (
-    Corruption,
-    LabeledCloud,
-    apply_corruption,
-    cloud_to_csv,
-    six_blobs,
-    two_moons,
-)
+from .adapters import make_adapter, make_feature_map
+from .datasets import Corruption, LabeledCloud, apply_corruption, cloud_to_csv, six_blobs, two_moons
 from .geometry import PointCloud, geometric_quantile
 from .loss import quantile_loss_on_points, select_references
 from .rng import SplitMix64
@@ -50,20 +44,51 @@ class ExperimentSpec:
     out_dir: Path
 
 
+def _whole_numbers(text: str) -> list[int]:
+    return [int(tok) for tok in text.replace(",", " ").split()]
+
+
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-# every section and key the builders below read; anything else is a mistake
+def _square_matrix(text: str) -> list[list[float]]:
+    """A row-major square matrix as its list of rows."""
+    vals = _floats(text)
+    d = math.isqrt(len(vals))
+    if d == 0 or d * d != len(vals):
+        raise ValueError(f"needs d*d numbers of a square matrix, row-major; got {len(vals)}")
+    return [vals[i * d : (i + 1) * d] for i in range(d)]
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# every section and key a config may hold, each with the reader of its value
 CONFIG_KEYS = {
-    "experiment": "name",
-    "dataset": "kind seed counts n noise_sigma",
-    "corruption": "kind seed matrix angle_deg offset sigma",
-    "adapter": "kind hidden seed init_rotation_deg",
-    "feature_map": "kind out_dim hidden seed",
-    "train": "epochs batch_size learning_rate momentum reference_count seed snapshot_every full_batch wasserstein_every",
-    "output": "dir",
+    "experiment": {"name": str},
+    "dataset": {"kind": str, "seed": int, "counts": _whole_numbers, "n": int, "noise_sigma": float},
+    "corruption": {"kind": str, "seed": int, "matrix": _square_matrix, "angle_deg": float, "offset": _floats, "sigma": float},
+    "adapter": {"kind": str, "hidden": int, "seed": int, "init_rotation_deg": float},
+    "feature_map": {"kind": str, "out_dim": int, "hidden": int, "seed": int},
+    "train": {"epochs": int, "batch_size": int, "learning_rate": float, "momentum": float, "reference_count": int,
+              "seed": int, "snapshot_every": int, "full_batch": _boolean, "wasserstein_every": int},
+    "output": {"dir": str},
 }
+
+# the constructor of each corruption kind; the section's other keys are its keyword arguments
+CORRUPTIONS = {kind: getattr(Corruption, kind) for kind in ("linear", "rotation", "shift", "gaussian_noise")}
+
+
+def _read(section: str, key: str, text: str):
+    try:
+        return CONFIG_KEYS[section][key](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
 
 
 def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
@@ -77,117 +102,71 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     unknown = []
-    for name in parser.sections():
-        if name not in CONFIG_KEYS:
-            unknown.append(f"[{name}]")
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            unknown.append(f"[{section}]")
         else:
-            unknown += [f"[{name}] {key}" for key in sorted(set(parser[name]) - set(CONFIG_KEYS[name].split()))]
+            unknown += [f"[{section}] {key}" for key in sorted(set(parser[section]) - set(CONFIG_KEYS[section]))]
     if unknown:
         raise ConfigError("unknown config names: " + ", ".join(unknown))
 
-    sections = {name: dict(parser[name]) if parser.has_section(name) else {} for name in CONFIG_KEYS}
-    exp, tr = sections["experiment"], sections["train"]
-    if "kind" not in sections["dataset"]:
-        raise ConfigError("config needs [dataset] kind")
-    if "kind" not in sections["corruption"]:
-        raise ConfigError("config needs [corruption] kind")
+    sections = {section: {} for section in CONFIG_KEYS}
+    for section in parser.sections():
+        sections[section] = {key: _read(section, key, text) for key, text in parser[section].items()}
+    if seed_override is not None:
+        sections["train"]["seed"] = seed_override
 
-    try:
-        cfg = TrainConfig(
-            epochs=int(tr.get("epochs", 100)),
-            batch_size=int(tr.get("batch_size", 0) or 0),
-            learning_rate=float(tr.get("learning_rate", 1e-2)),
-            momentum=float(tr.get("momentum", 0.9)),
-            reference_count=int(tr.get("reference_count", 60)),
-            seed=int(seed_override if seed_override is not None else tr.get("seed", 0)),
-            snapshot_every=int(tr.get("snapshot_every", 1)),
-            full_batch=parser.getboolean("train", "full_batch", fallback=False),
-            wasserstein_every=int(tr.get("wasserstein_every", 10)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [train] value: {exc}") from exc
-
-    out_dir = Path(out_override or sections["output"].get("dir", f"runs/{exp.get('name', path.stem)}"))
+    name = sections["experiment"].get("name", path.stem)
     return ExperimentSpec(
-        name=exp.get("name", path.stem),
+        name=name,
         dataset=sections["dataset"],
         corruption=sections["corruption"],
         adapter=sections["adapter"],
         feature_map=sections["feature_map"],
-        train=cfg,
-        out_dir=out_dir,
+        train=TrainConfig(**sections["train"]),
+        out_dir=Path(out_override or sections["output"].get("dir", f"runs/{name}")),
     )
 
 
-def _build_dataset(cfg: dict) -> LabeledCloud:
-    kind = cfg["kind"]
-    seed = int(cfg.get("seed", 0))
-    if kind == "six_blobs":
-        counts = tuple(int(c) for c in _floats(cfg["counts"])) if "counts" in cfg else None
-        kwargs = {} if counts is None else {"per_class_counts": counts}
-        return six_blobs(seed, **kwargs)
-    if kind == "two_moons":
-        return two_moons(seed, n=int(cfg.get("n", 200)), noise_sigma=float(cfg.get("noise_sigma", 0.05)))
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+def _construct(section: str, constructors: dict, values: dict, *skip: str):
+    """Call the constructor of the section's kind with the section's other keys, less `skip`.
 
-
-def _build_corruption(cfg: dict) -> Corruption:
-    kind = cfg["kind"]
-    if kind == "linear":
-        vals = _floats(cfg["matrix"])
-        d = int(round(len(vals) ** 0.5))
-        if d * d != len(vals):
-            raise ConfigError("linear corruption matrix must be square (row-major)")
-        return Corruption.linear(np.asarray(vals).reshape(d, d))
-    if kind == "rotation":
-        return Corruption.rotation(float(cfg["angle_deg"]))
-    if kind == "shift":
-        return Corruption.shift(np.asarray(_floats(cfg["offset"])))
-    if kind == "gaussian_noise":
-        return Corruption.gaussian_noise(float(cfg["sigma"]))
-    raise ConfigError(f"unknown corruption kind {kind!r}")
-
-
-def _build_adapter(cfg: dict, dim: int) -> Adapter:
-    return make_adapter(
-        cfg.get("kind", "affine"),
-        dim,
-        hidden=int(cfg.get("hidden", 16)),
-        seed=int(cfg.get("seed", 0)),
-        init_rotation_deg=float(cfg.get("init_rotation_deg", 0.0)),
-    )
-
-
-def _build_feature_map(cfg: dict, in_dim: int) -> FeatureMap:
-    kind = cfg.get("kind", "identity")
-    out_dim = int(cfg["out_dim"]) if "out_dim" in cfg else None
-    return make_feature_map(
-        kind,
-        in_dim,
-        out_dim=out_dim,
-        hidden=int(cfg.get("hidden", 0)),
-        seed=int(cfg.get("seed", 0)),
-    )
+    A key that the constructor does not take, or an argument that it needs
+    and is not given, is a ConfigError raised before the constructor runs.
+    """
+    kind = values.get("kind")
+    if kind not in constructors:
+        raise ConfigError(f"[{section}] kind must be one of {', '.join(constructors)}; got {kind!r}")
+    constructor = constructors[kind]
+    args = {key: value for key, value in values.items() if key not in ("kind", *skip)}
+    params = inspect.signature(constructor).parameters
+    extra = [f"[{section}] {key}" for key in args if key not in params]
+    if extra:
+        raise ConfigError(f"{section} kind {kind!r} does not take " + ", ".join(extra))
+    missing = [f"[{section}] {key}" for key, p in params.items() if p.default is p.empty and key not in args]
+    if missing:
+        raise ConfigError(f"{section} kind {kind!r} needs " + ", ".join(missing))
+    return constructor(**args)
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Train per the spec and write trace.csv, summary.json, and cloud dumps."""
     started = time.perf_counter()
     try:
-        clean = _build_dataset(spec.dataset)
-        corruption = _build_corruption(spec.corruption)
-        corrupted = apply_corruption(clean, corruption, seed=int(spec.corruption.get("seed", 0)))
-        fmap = _build_feature_map(spec.feature_map, clean.cloud.dim)
-        adapter = _build_adapter(spec.adapter, corrupted.cloud.dim)
-    except KeyError as exc:
-        raise ConfigError(f"config is missing {exc}") from exc
+        # looked up per run, so that a wrapper patched over this module's names (perfbench/tracer.py) is called
+        clean = _construct("dataset", {"six_blobs": six_blobs, "two_moons": two_moons}, spec.dataset)
+        corruption = _construct("corruption", CORRUPTIONS, spec.corruption, "seed")
+        seed = {key: value for key, value in spec.corruption.items() if key == "seed"}
+        corrupted = apply_corruption(clean, corruption, **seed)
+        fmap = make_feature_map(in_dim=clean.cloud.dim, **{"kind": "identity", **spec.feature_map})
+        adapter = make_adapter(dim=corrupted.cloud.dim, **{"kind": "affine", **spec.adapter})
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     source_feats = PointCloud(fmap.forward_cloud(clean.cloud.points))
 
     cfg = spec.train
     if cfg.batch_size == 0:
-        cfg = TrainConfig(**{**asdict(cfg), "batch_size": corrupted.n})
+        cfg = replace(cfg, batch_size=corrupted.n)
     adapter, trace = train(
         source_feats,
         corrupted.cloud,

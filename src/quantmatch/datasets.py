@@ -1,8 +1,8 @@
 """Seeded toy datasets and corruption operators with identity pairings.
 
 Defaults for the six-blobs geometry (hexagon means, per-class covariance
-scales, per-class counts) live here and are echoed into every run summary;
-the underlying experiments prescribe no numbers.
+scales, per-class counts) live here; the underlying experiments prescribe
+no numbers.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class Corruption:
     """Covariate-shift operator applied pointwise to a clean cloud."""
 
     kind: str  # linear | rotation | shift | gaussian_noise
-    matrix: np.ndarray | None = None
-    angle_deg: float | None = None
+    matrix: np.ndarray | None = None  # linear and rotation
     offset: np.ndarray | None = None
     sigma: float | None = None
 
@@ -74,7 +73,7 @@ class Corruption:
 
     @classmethod
     def rotation(cls, angle_deg: float) -> "Corruption":
-        return cls(kind="rotation", angle_deg=float(angle_deg))
+        return cls(kind="rotation", matrix=_rotation(angle_deg))
 
     @classmethod
     def shift(cls, offset) -> "Corruption":
@@ -88,16 +87,12 @@ class Corruption:
 
     def exact_inverse_matrix(self) -> np.ndarray | None:
         """Inverse linear map for oracle use, when one exists."""
-        if self.kind == "linear":
-            return np.linalg.inv(self.matrix)
-        if self.kind == "rotation":
-            return _rotation(-self.angle_deg)
-        return None
+        return None if self.matrix is None else np.linalg.inv(self.matrix)
 
 
-def six_blobs(seed: int, per_class_counts=SIX_BLOBS_COUNTS) -> LabeledCloud:
+def six_blobs(seed: int = 0, counts=SIX_BLOBS_COUNTS) -> LabeledCloud:
     """Six Gaussian classes with differing counts, means, and covariances."""
-    counts = tuple(int(c) for c in per_class_counts)
+    counts = tuple(int(c) for c in counts)
     if len(counts) != 6:
         raise ValueError("six_blobs needs exactly 6 class counts")
     if any(c < 10 for c in counts):
@@ -119,7 +114,7 @@ def six_blobs(seed: int, per_class_counts=SIX_BLOBS_COUNTS) -> LabeledCloud:
     return LabeledCloud(cloud=cloud, labels=np.asarray(labels), pairing=identity_pairing(cloud.n))
 
 
-def two_moons(seed: int, n: int = 200, noise_sigma: float = 0.05) -> LabeledCloud:
+def two_moons(seed: int = 0, n: int = 200, noise_sigma: float = 0.05) -> LabeledCloud:
     """Interleaved half-circles centered so a 180-degree rotation swaps the moons."""
     if n < 4:
         raise ValueError("two_moons needs n >= 4")
@@ -141,14 +136,10 @@ def two_moons(seed: int, n: int = 200, noise_sigma: float = 0.05) -> LabeledClou
 def apply_corruption(clean: LabeledCloud, corruption: Corruption, seed: int = 0) -> LabeledCloud:
     """Corrupt a cloud pointwise; indices, labels, and pairing are preserved."""
     pts = clean.cloud.points
-    if corruption.kind == "linear":
+    if corruption.matrix is not None:
         if corruption.matrix.shape[0] != pts.shape[1]:
             raise DimensionMismatchError("corruption matrix does not match the cloud dimension")
         out = pts @ corruption.matrix.T
-    elif corruption.kind == "rotation":
-        if pts.shape[1] != 2:
-            raise DimensionMismatchError("rotation corruption is 2-d only")
-        out = pts @ _rotation(corruption.angle_deg).T
     elif corruption.kind == "shift":
         if corruption.offset.shape[0] != pts.shape[1]:
             raise DimensionMismatchError("shift vector does not match the cloud dimension")

@@ -62,10 +62,10 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    reference_count: int
+    epochs: int = 100
+    batch_size: int = 0  # train needs it in [1, n]; a run from a config reads 0 as all target points
+    learning_rate: float = 1e-2
+    reference_count: int = 60
     momentum: float = 0.9
     seed: int = 0
     snapshot_every: int = 1

@@ -150,6 +150,12 @@ class TestEstimatorVariance:
         assert diag.crude_variance == pytest.approx(0.0, abs=1e-30)
         assert diag.control_variance == pytest.approx(0.0, abs=1e-30)
 
+    def test_control_is_exactly_zero_at_snapshot(self):
+        # the trainer's estimator cancels its batch terms exactly when theta = theta_snap
+        _, refs, current = make_instance(16, n=8)
+        for b in (1, 3, 7):
+            assert estimator_variance(current, current, refs, b).control_variance == 0.0
+
     def test_lemma_formula_n8_b3(self):
         _, refs, current = make_instance(11, n=8)
         diag = estimator_variance(current, current, refs, b=3, mode="exhaustive")

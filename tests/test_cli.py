@@ -40,6 +40,9 @@ wasserstein_every = 5
 """
 
 
+TWO_MOONS = "kind = two_moons\nseed = 3\nn = 60\nnoise_sigma = 0.03"
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -109,20 +112,27 @@ class TestRun:
         assert json.loads(capsys.readouterr().out)["error"] == "config"
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, named",
         [
-            ("kind = two_moons", "kind = six_blobs\ncounts = 80,82,84"),
-            ("kind = affine", "kind = affin"),
-            ("[feature_map]\nkind = identity", "[feature_map]\nkind = identity\nout_dim = 3"),
-            ("angle_deg = 180\n", ""),
-            ("epochs = 10", "epochs = 10\nepochs = 11"),
-            ("reference_count = 20", "reference_count = 21"),
-            ("full_batch = true", "full_batch = ture"),
-            ("learning_rate = 0.3", "learning_rate = nan"),
-            ("learning_rate = 0.3", "learning_rate = inf"),
-            ("init_rotation_deg = 45", "init_rotation_deg = nan"),
-            ("noise_sigma = 0.03", "noise_sigma = -1"),
-            ("noise_sigma = 0.03", "noise_sigma = nan"),
+            (TWO_MOONS, "kind = six_blobs\nseed = 3\ncounts = 80,82,84", "6 class counts"),
+            ("kind = affine", "kind = affin", "'affin'"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = identity\nout_dim = 3", "dimension"),
+            ("angle_deg = 180\n", "", "[corruption] angle_deg"),
+            ("epochs = 10", "epochs = 10\nepochs = 11", "'epochs'"),
+            ("reference_count = 20", "reference_count = 21", "count 21"),
+            ("full_batch = true", "full_batch = ture", "[train] full_batch"),
+            ("learning_rate = 0.3", "learning_rate = nan", "learning_rate"),
+            ("learning_rate = 0.3", "learning_rate = inf", "learning_rate"),
+            ("init_rotation_deg = 45", "init_rotation_deg = nan", "init_rotation_deg"),
+            ("noise_sigma = 0.03", "noise_sigma = -1", "noise_sigma"),
+            ("noise_sigma = 0.03", "noise_sigma = nan", "noise_sigma"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = fixed_mlp\nout_dim = 0", "out_dim"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = fixed_mlp\nhidden = -5", "hidden"),
+            (TWO_MOONS, "kind = six_blobs\nseed = 3\ncounts = 80.7,82,84,86,88,90", "[dataset] counts"),
+            ("kind = two_moons", "kind = six_blobs", "[dataset] n"),
+            ("kind = rotation\nangle_deg = 180", "kind = linear\nmatrix = -1,0,0,-1\nsigma = 0.1", "[corruption] sigma"),
+            ("kind = rotation\nangle_deg = 180", "kind = linear\nmatrix = 1,0,0", "[corruption] matrix"),
+            ("batch_size = 60", "batch_size =", "[train] batch_size"),
         ],
         ids=[
             "three_blob_counts",
@@ -137,15 +147,31 @@ class TestRun:
             "nan_init_rotation",
             "negative_noise_sigma",
             "nan_noise_sigma",
+            "zero_feature_out_dim",
+            "negative_feature_hidden",
+            "fractional_count",
+            "six_blobs_given_n",
+            "linear_given_sigma",
+            "non_square_matrix",
+            "empty_batch_size",
         ],
     )
-    def test_config_mistake_exits_2(self, tmp_path, capsys, old, new):
+    def test_config_mistake_exits_2(self, tmp_path, capsys, old, new, named):
         assert old in TINY_CONFIG
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG.replace(old, new))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert json.loads(capsys.readouterr().out)["error"] == "config"
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert named in payload["message"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["", "batch_size = 0\n"], ids=["missing", "zero"])
+    def test_missing_or_zero_batch_size_means_all_points(self, tmp_path, line):
+        path = tmp_path / "c.cfg"
+        path.write_text(TINY_CONFIG.replace("batch_size = 60\n", line))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["config"]["train"]["batch_size"] == 60
 
     @pytest.mark.parametrize("value, expected", [("Yes", True), ("on", True), ("0", False), ("OFF", False)])
     def test_full_batch_boolean_spellings(self, tmp_path, value, expected):
@@ -238,6 +264,8 @@ class TestRun:
         assert cfg["train"]["epochs"] == 10
         assert cfg["train"]["momentum"] == 0.9
         assert cfg["dataset"]["kind"] == "two_moons"
+        assert cfg["dataset"]["n"] == 60  # parsed values, not the raw strings
+        assert cfg["corruption"]["angle_deg"] == 180.0
         assert cfg["train"]["snapshot_every"] == 1  # default echoed
 
 

@@ -49,9 +49,9 @@ class TestSixBlobs:
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            six_blobs(seed=0, per_class_counts=(80, 82, 84, 86, 88))
+            six_blobs(seed=0, counts=(80, 82, 84, 86, 88))
         with pytest.raises(ValueError):
-            six_blobs(seed=0, per_class_counts=(5, 82, 84, 86, 88, 90))
+            six_blobs(seed=0, counts=(5, 82, 84, 86, 88, 90))
 
 
 class TestTwoMoons:

@@ -287,7 +287,8 @@ def broadcast_estimator_variance(a_units, s_units, b):
     for batch in batches:
         a_hat, s_hat = a_units[:, batch].mean(axis=1), s_units[:, batch].mean(axis=1)
         crude += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
-        control += float(np.mean(np.sum((a_hat + (s_mean - s_hat) - a_mean) ** 2, axis=1)))
+        # associated as control_variate_estimate, so that equal batch terms cancel exactly
+        control += float(np.mean(np.sum(((a_hat - s_hat) + s_mean - a_mean) ** 2, axis=1)))
     return np.array([crude, control]) / len(batches)
 
 
