@@ -90,6 +90,37 @@ class Adapter:
             raise DimensionMismatchError("parameter vector length mismatch")
         return replace(self, params=params)
 
+    @classmethod
+    def identity(cls, dim: int) -> "Adapter":
+        return cls(kind="identity", params=np.zeros(0), dim=dim)
+
+    @classmethod
+    def affine(cls, dim: int, init_rotation_deg: float = 0.0) -> "Adapter":
+        """A = I, b = 0; init_rotation_deg (2-d only) starts A at a rotation instead.
+
+        The rotation places the start near a symmetry of the data rather than
+        at the identity.
+        """
+        if not np.isfinite(init_rotation_deg):
+            raise ValueError("init_rotation_deg must be finite")
+        a = np.eye(dim)
+        if init_rotation_deg != 0.0:
+            if dim != 2:
+                raise ValueError("init_rotation_deg only supported for dim == 2")
+            t = np.deg2rad(init_rotation_deg)
+            a = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        return cls(kind="affine", params=np.concatenate([a.ravel(), np.zeros(dim)]), dim=dim)
+
+    @classmethod
+    def mlp1(cls, dim: int, hidden: int = 16, seed: int = 0) -> "Adapter":
+        """Residual one-hidden-layer MLP with a zeroed output layer."""
+        if hidden < 1:
+            raise ValueError("mlp1 needs hidden >= 1")
+        rng = SplitMix64.stream("adapter_mlp1", seed)
+        w1 = _orthogonalish(hidden, dim, rng, scale=0.1)
+        params = np.concatenate([w1.ravel(), np.zeros(hidden), np.zeros(dim * hidden)])
+        return cls(kind="mlp1", params=params, dim=dim, hidden=hidden)
+
 
 def make_adapter(
     kind: str,
@@ -98,30 +129,20 @@ def make_adapter(
     seed: int = 0,
     init_rotation_deg: float = 0.0,
 ) -> Adapter:
-    """Build an adapter initialized at the identity map.
+    """Build an adapter of any kind initialized at the identity map.
 
-    init_rotation_deg (affine, 2-d only) starts A at a rotation instead; used
-    to place the start near a symmetry of the data rather than at identity.
+    The arguments that the kind's constructor (`Adapter.identity`,
+    `Adapter.affine`, `Adapter.mlp1`) does not take are ignored, except that
+    a non-finite init_rotation_deg is refused for every kind.
     """
     if not np.isfinite(init_rotation_deg):
         raise ValueError("init_rotation_deg must be finite")
     if kind == "identity":
-        return Adapter(kind=kind, params=np.zeros(0), dim=dim)
+        return Adapter.identity(dim)
     if kind == "affine":
-        a = np.eye(dim)
-        if init_rotation_deg != 0.0:
-            if dim != 2:
-                raise ValueError("init_rotation_deg only supported for dim == 2")
-            t = np.deg2rad(init_rotation_deg)
-            a = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        return Adapter(kind=kind, params=np.concatenate([a.ravel(), np.zeros(dim)]), dim=dim)
+        return Adapter.affine(dim, init_rotation_deg)
     if kind == "mlp1":
-        if hidden < 1:
-            raise ValueError("mlp1 needs hidden >= 1")
-        rng = SplitMix64.stream("adapter_mlp1", seed)
-        w1 = _orthogonalish(hidden, dim, rng, scale=0.1)
-        params = np.concatenate([w1.ravel(), np.zeros(hidden), np.zeros(dim * hidden)])
-        return Adapter(kind=kind, params=params, dim=dim, hidden=hidden)
+        return Adapter.mlp1(dim, hidden, seed)
     raise ValueError(f"unknown adapter kind {kind!r}")
 
 
@@ -158,6 +179,45 @@ class FeatureMap:
         act = np.tanh(x @ self.w1.T + self.b1)
         return (upstream @ self.w2) * (1.0 - act**2) @ self.w1
 
+    @classmethod
+    def identity(cls, in_dim: int, out_dim: int | None = None) -> "FeatureMap":
+        if _out_dim(in_dim, out_dim) != in_dim:
+            raise ValueError("identity feature map cannot change dimension")
+        return cls(kind="identity", in_dim=in_dim, out_dim=in_dim)
+
+    @classmethod
+    def fixed_affine(cls, in_dim: int, out_dim: int | None = None, seed: int = 0) -> "FeatureMap":
+        out_dim = _out_dim(in_dim, out_dim)
+        m = _orthogonalish(out_dim, in_dim, SplitMix64.stream("feature_affine", seed), 1.0)
+        return cls(kind="fixed_affine", in_dim=in_dim, out_dim=out_dim, matrix=m)
+
+    @classmethod
+    def fixed_mlp(cls, in_dim: int, out_dim: int | None = None, hidden: int = 0, seed: int = 0) -> "FeatureMap":
+        """tanh layer then a linear one; hidden = 0 sizes the layer as max(in_dim, out_dim, 4)."""
+        out_dim = _out_dim(in_dim, out_dim)
+        if hidden < 0:
+            raise ValueError(f"hidden must be >= 0, got {hidden}")
+        if hidden == 0:
+            hidden = max(in_dim, out_dim, 4)
+        rng = SplitMix64.stream("feature_mlp", seed)
+        return cls(
+            kind="fixed_mlp",
+            in_dim=in_dim,
+            out_dim=out_dim,
+            w1=_orthogonalish(hidden, in_dim, rng, 1.0),
+            b1=0.1 * rng.normals(hidden),
+            w2=_orthogonalish(out_dim, hidden, rng, 1.0),
+            b2=0.1 * rng.normals(out_dim),
+        )
+
+
+def _out_dim(in_dim: int, out_dim: int | None) -> int:
+    """The output dimension, in_dim when not given."""
+    out_dim = in_dim if out_dim is None else out_dim
+    if out_dim < 1:
+        raise ValueError(f"out_dim must be >= 1, got {out_dim}")
+    return out_dim
+
 
 def make_feature_map(
     kind: str,
@@ -166,31 +226,18 @@ def make_feature_map(
     hidden: int = 0,
     seed: int = 0,
 ) -> FeatureMap:
-    """Build a frozen feature map; hidden = 0 sizes the fixed_mlp layer as max(in_dim, out_dim, 4)."""
-    out_dim = in_dim if out_dim is None else out_dim
-    if out_dim < 1:
-        raise ValueError(f"out_dim must be >= 1, got {out_dim}")
+    """Build a frozen feature map of any kind.
+
+    The arguments that the kind's constructor (`FeatureMap.identity`,
+    `FeatureMap.fixed_affine`, `FeatureMap.fixed_mlp`) does not take are
+    checked but ignored.
+    """
     if hidden < 0:
         raise ValueError(f"hidden must be >= 0, got {hidden}")
     if kind == "identity":
-        if out_dim != in_dim:
-            raise ValueError("identity feature map cannot change dimension")
-        return FeatureMap(kind=kind, in_dim=in_dim, out_dim=in_dim)
+        return FeatureMap.identity(in_dim, out_dim)
     if kind == "fixed_affine":
-        rng = SplitMix64.stream("feature_affine", seed)
-        m = _orthogonalish(out_dim, in_dim, rng, 1.0)
-        return FeatureMap(kind=kind, in_dim=in_dim, out_dim=out_dim, matrix=m)
+        return FeatureMap.fixed_affine(in_dim, out_dim, seed)
     if kind == "fixed_mlp":
-        if hidden == 0:
-            hidden = max(in_dim, out_dim, 4)
-        rng = SplitMix64.stream("feature_mlp", seed)
-        return FeatureMap(
-            kind=kind,
-            in_dim=in_dim,
-            out_dim=out_dim,
-            w1=_orthogonalish(hidden, in_dim, rng, 1.0),
-            b1=0.1 * rng.normals(hidden),
-            w2=_orthogonalish(out_dim, hidden, rng, 1.0),
-            b2=0.1 * rng.normals(out_dim),
-        )
+        return FeatureMap.fixed_mlp(in_dim, out_dim, hidden, seed)
     raise ValueError(f"unknown feature map kind {kind!r}")

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from itertools import permutations
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import oracles
-from .adapters import make_adapter, make_feature_map
+from .adapters import Adapter, FeatureMap, make_adapter, make_feature_map
 from .datasets import Corruption, LabeledCloud, apply_corruption, cloud_to_csv, six_blobs, two_moons
 from .geometry import PointCloud, geometric_quantile
 from .loss import quantile_loss_on_points, select_references
@@ -80,8 +81,11 @@ CONFIG_KEYS = {
     "output": {"dir": str},
 }
 
-# the constructor of each corruption kind; the section's other keys are its keyword arguments
+# the constructor of each kind of these sections (the datasets' are looked up per run, see run_experiment);
+# the section's other keys are its keyword arguments
 CORRUPTIONS = {kind: getattr(Corruption, kind) for kind in ("linear", "rotation", "shift", "gaussian_noise")}
+ADAPTERS = {kind: getattr(Adapter, kind) for kind in ("identity", "affine", "mlp1")}
+FEATURE_MAPS = {kind: getattr(FeatureMap, kind) for kind in ("identity", "fixed_affine", "fixed_mlp")}
 
 
 def _read(section: str, key: str, text: str):
@@ -116,6 +120,11 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
     if seed_override is not None:
         sections["train"]["seed"] = seed_override
 
+    named = (("experiment", "name"), ("output", "dir"))
+    empty = [f"[{section}] {key}" for section, key in named if sections[section].get(key) == ""]
+    if empty:
+        raise ConfigError("empty config values: " + ", ".join(empty))
+
     name = sections["experiment"].get("name", path.stem)
     return ExperimentSpec(
         name=name,
@@ -128,11 +137,12 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
     )
 
 
-def _construct(section: str, constructors: dict, values: dict, *skip: str):
-    """Call the constructor of the section's kind with the section's other keys, less `skip`.
+def _construct(section: str, constructors: dict, values: dict, *skip: str, **given):
+    """Call the constructor of the section's kind with `given` and the section's other keys, less `skip`.
 
     A key that the constructor does not take, or an argument that it needs
-    and is not given, is a ConfigError raised before the constructor runs.
+    and is not given, is a ConfigError raised before the constructor runs; a
+    ValueError that the constructor raises is a ConfigError naming the section.
     """
     kind = values.get("kind")
     if kind not in constructors:
@@ -143,25 +153,33 @@ def _construct(section: str, constructors: dict, values: dict, *skip: str):
     extra = [f"[{section}] {key}" for key in args if key not in params]
     if extra:
         raise ConfigError(f"{section} kind {kind!r} does not take " + ", ".join(extra))
-    missing = [f"[{section}] {key}" for key, p in params.items() if p.default is p.empty and key not in args]
+    missing = [f"[{section}] {key}" for key, p in params.items() if p.default is p.empty and key not in args and key not in given]
     if missing:
         raise ConfigError(f"{section} kind {kind!r} needs " + ", ".join(missing))
-    return constructor(**args)
+    with _section_values(section):
+        return constructor(**given, **args)
+
+
+@contextmanager
+def _section_values(section: str):
+    """Report a library ValueError raised in the block as a ConfigError naming the section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad value in [{section}]: {exc}") from exc
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Train per the spec and write trace.csv, summary.json, and cloud dumps."""
     started = time.perf_counter()
-    try:
-        # looked up per run, so that a wrapper patched over this module's names (perfbench/tracer.py) is called
-        clean = _construct("dataset", {"six_blobs": six_blobs, "two_moons": two_moons}, spec.dataset)
-        corruption = _construct("corruption", CORRUPTIONS, spec.corruption, "seed")
-        seed = {key: value for key, value in spec.corruption.items() if key == "seed"}
+    # looked up per run, so that a wrapper patched over this module's names (perfbench/tracer.py) is called
+    clean = _construct("dataset", {"six_blobs": six_blobs, "two_moons": two_moons}, spec.dataset)
+    corruption = _construct("corruption", CORRUPTIONS, spec.corruption, "seed")
+    seed = {key: value for key, value in spec.corruption.items() if key == "seed"}
+    with _section_values("corruption"):
         corrupted = apply_corruption(clean, corruption, **seed)
-        fmap = make_feature_map(in_dim=clean.cloud.dim, **{"kind": "identity", **spec.feature_map})
-        adapter = make_adapter(dim=corrupted.cloud.dim, **{"kind": "affine", **spec.adapter})
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    fmap = _construct("feature_map", FEATURE_MAPS, {"kind": "identity", **spec.feature_map}, in_dim=clean.cloud.dim)
+    adapter = _construct("adapter", ADAPTERS, {"kind": "affine", **spec.adapter}, dim=corrupted.cloud.dim)
     source_feats = PointCloud(fmap.forward_cloud(clean.cloud.points))
 
     cfg = spec.train
@@ -246,7 +264,7 @@ def _report(lines: list[str], ok: bool, name: str, detail: str) -> bool:
 def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
     rng = SplitMix64.stream("verify_inverse", seed)
     worst = 0.0
-    failures = 0
+    failures = iterations = snaps = 0
     for _ in range(trials):
         n = 10 + rng.randbelow(191)
         d = 2 + rng.randbelow(15)
@@ -256,10 +274,12 @@ def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
         u = (0.9 * rng.uniform()) * direction
         report = geometric_quantile(cloud, u)
         worst = max(worst, report.residual)
-        if report.residual > 1e-6:
-            failures += 1
+        failures += report.residual > 1e-6
+        iterations += report.iterations
+        snaps += report.on_support
     ok = failures == 0
-    return _report(lines, ok, "inverse-map", f"{trials - failures}/{trials} residuals <= 1e-6, worst {worst:.3e}")
+    detail = f"{trials - failures}/{trials} residuals <= 1e-6, worst {worst:.3e}; {iterations} iterations, {snaps} on-support snaps"
+    return _report(lines, ok, "inverse-map", detail)
 
 
 def verify_variance(n: int, b: int, seed: int, lines: list[str]) -> bool:

@@ -10,6 +10,7 @@ inverse operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 COINCIDENCE_EPS = 1e-12
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
+_FLOAT_EPS = np.finfo(float).eps
 
 
 class DimensionMismatchError(ValueError):
@@ -148,6 +150,21 @@ def _on_support_pull(pts: np.ndarray, r: int, u: np.ndarray) -> tuple[np.ndarray
     return pull, float(np.linalg.norm(pull)), float(inv.sum())
 
 
+def _loss_at(pts: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """phi_loss at q with its q - Z_i and their norms, bit for bit as phi_loss computes it.
+
+    q - Z_i is the exact negation of phi_loss's Z_i - q, and the norm is
+    numpy's own axis-1 norm; a non-finite loss is checked for a non-finite q,
+    the one case in which phi_loss rejects its input here.
+    """
+    diff = q - pts
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    loss = float(np.add.reduce(dist - diff @ u) / len(pts))
+    if not math.isfinite(loss) and not np.all(np.isfinite(q)):
+        raise ValueError("vector has non-finite coordinates")
+    return loss, diff, dist
+
+
 def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> SolverReport:
     """Solve for the quantile at index u by damped Weiszfeld iteration.
 
@@ -155,7 +172,9 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
     the stationarity condition index(Q) = u.  Steps that would increase the
     objective fall back to halving-step gradient descent, so accepted
     iterations never increase phi_loss.  Iterates landing on a data point are
-    snapped there when the subgradient optimality test passes.
+    snapped there when the subgradient optimality test passes.  Each iterate's
+    distances to the cloud are computed once: the pass that gives its loss
+    also gives the next step's weights and gradient.
     """
     pts = cloud.points
     n, d = pts.shape
@@ -164,19 +183,16 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         raise DimensionMismatchError("geometric_quantile: dimension mismatch")
     _check_index(u, open_ball=True)
 
-    centered = pts - pts.mean(axis=0)
-    maybe_nonunique = np.linalg.matrix_rank(centered) < d
-
     q = pts.mean(axis=0)
-    loss = phi_loss(cloud, u, q)
+    maybe_nonunique = np.linalg.matrix_rank(pts - q) < d
+
+    loss, diff, dist = _loss_at(pts, u, q)
     losses = [loss] if track_losses else None
     on_support = False
     iterations = 0
 
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        diff = q - pts
-        dist = np.linalg.norm(diff, axis=1)
-        nearest = int(np.argmin(dist))
+        nearest = dist.argmin()
 
         if dist[nearest] < COINCIDENCE_EPS:
             pull, pull_norm, inv_sum = _on_support_pull(pts, nearest, u)
@@ -187,36 +203,36 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
             # not optimal: step off the point along the descent direction
             step = (pull_norm - 1.0) / inv_sum
             candidate = pts[nearest] - step * pull / pull_norm
-            cand_loss = phi_loss(cloud, u, candidate)
-            while cand_loss > loss and step > 1e-18:
+            at_candidate = _loss_at(pts, u, candidate)
+            while at_candidate[0] > loss and step > 1e-18:
                 step *= 0.5
                 candidate = pts[nearest] - step * pull / pull_norm
-                cand_loss = phi_loss(cloud, u, candidate)
-            q, loss = candidate, cand_loss
+                at_candidate = _loss_at(pts, u, candidate)
+            q, (loss, diff, dist) = candidate, at_candidate
             if losses is not None:
                 losses.append(loss)
             continue
 
-        grad = diff.T.dot(1.0 / dist) / n - u  # = index(q) - u
-        if np.linalg.norm(grad) <= DEFAULT_TOL:
+        weights = 1.0 / dist
+        grad = diff.T.dot(weights) / n - u  # = index(q) - u
+        if math.sqrt(grad.dot(grad)) <= DEFAULT_TOL:
             break
 
-        weights = 1.0 / dist
-        candidate = (pts.T.dot(weights) + n * u) / weights.sum()
-        cand_loss = phi_loss(cloud, u, candidate)
-        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(loss))  # absorb ulp noise only
-        if cand_loss > loss + slack:
+        candidate = (pts.T.dot(weights) + n * u) / np.add.reduce(weights)
+        at_candidate = _loss_at(pts, u, candidate)
+        slack = 4.0 * _FLOAT_EPS * max(1.0, abs(loss))  # absorb ulp noise only
+        if at_candidate[0] > loss + slack:
             # halving-step gradient descent fallback
             step = float(np.linalg.norm(candidate - q))
             candidate = q - step * grad
-            cand_loss = phi_loss(cloud, u, candidate)
-            while cand_loss > loss + slack and step > 1e-18:
+            at_candidate = _loss_at(pts, u, candidate)
+            while at_candidate[0] > loss + slack and step > 1e-18:
                 step *= 0.5
                 candidate = q - step * grad
-                cand_loss = phi_loss(cloud, u, candidate)
-            if cand_loss > loss + slack:
+                at_candidate = _loss_at(pts, u, candidate)
+            if at_candidate[0] > loss + slack:
                 break  # stalled at numerical precision
-        q, loss = candidate, cand_loss
+        q, (loss, diff, dist) = candidate, at_candidate
         if losses is not None:
             losses.append(loss)
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -114,25 +115,33 @@ class TestRun:
     @pytest.mark.parametrize(
         "old, new, named",
         [
-            (TWO_MOONS, "kind = six_blobs\nseed = 3\ncounts = 80,82,84", "6 class counts"),
+            (TWO_MOONS, "kind = six_blobs\nseed = 3\ncounts = 80,82,84", "bad value in [dataset]: six_blobs needs exactly 6 class counts"),
             ("kind = affine", "kind = affin", "'affin'"),
-            ("[feature_map]\nkind = identity", "[feature_map]\nkind = identity\nout_dim = 3", "dimension"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = identity\nout_dim = 3", "bad value in [feature_map]: identity feature map cannot change dimension"),
             ("angle_deg = 180\n", "", "[corruption] angle_deg"),
             ("epochs = 10", "epochs = 10\nepochs = 11", "'epochs'"),
             ("reference_count = 20", "reference_count = 21", "count 21"),
             ("full_batch = true", "full_batch = ture", "[train] full_batch"),
             ("learning_rate = 0.3", "learning_rate = nan", "learning_rate"),
             ("learning_rate = 0.3", "learning_rate = inf", "learning_rate"),
-            ("init_rotation_deg = 45", "init_rotation_deg = nan", "init_rotation_deg"),
-            ("noise_sigma = 0.03", "noise_sigma = -1", "noise_sigma"),
+            ("init_rotation_deg = 45", "init_rotation_deg = nan", "bad value in [adapter]: init_rotation_deg must be finite"),
+            ("noise_sigma = 0.03", "noise_sigma = -1", "bad value in [dataset]: two_moons needs a finite noise_sigma"),
             ("noise_sigma = 0.03", "noise_sigma = nan", "noise_sigma"),
-            ("[feature_map]\nkind = identity", "[feature_map]\nkind = fixed_mlp\nout_dim = 0", "out_dim"),
-            ("[feature_map]\nkind = identity", "[feature_map]\nkind = fixed_mlp\nhidden = -5", "hidden"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = fixed_mlp\nout_dim = 0", "bad value in [feature_map]: out_dim must be >= 1, got 0"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = fixed_mlp\nhidden = -5", "bad value in [feature_map]: hidden must be >= 0, got -5"),
             (TWO_MOONS, "kind = six_blobs\nseed = 3\ncounts = 80.7,82,84,86,88,90", "[dataset] counts"),
             ("kind = two_moons", "kind = six_blobs", "[dataset] n"),
             ("kind = rotation\nangle_deg = 180", "kind = linear\nmatrix = -1,0,0,-1\nsigma = 0.1", "[corruption] sigma"),
             ("kind = rotation\nangle_deg = 180", "kind = linear\nmatrix = 1,0,0", "[corruption] matrix"),
             ("batch_size = 60", "batch_size =", "[train] batch_size"),
+            ("[train]", "[output]\ndir =\n\n[train]", "[output] dir"),
+            ("name = tiny", "name =", "[experiment] name"),
+            ("kind = affine", "kind = affine\nhidden = -5", "[adapter] hidden"),
+            ("kind = affine", "kind = affine\nseed = 0", "[adapter] seed"),
+            ("kind = affine", "kind = identity\nhidden = 4", "[adapter] hidden"),
+            ("kind = affine", "kind = mlp1", "[adapter] init_rotation_deg"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = fixed_affine\nhidden = 4", "[feature_map] hidden"),
+            ("[feature_map]\nkind = identity", "[feature_map]\nkind = identity\nseed = 1", "[feature_map] seed"),
         ],
         ids=[
             "three_blob_counts",
@@ -154,6 +163,14 @@ class TestRun:
             "linear_given_sigma",
             "non_square_matrix",
             "empty_batch_size",
+            "empty_output_dir",
+            "empty_experiment_name",
+            "hidden_with_affine",
+            "seed_with_affine",
+            "hidden_with_identity_adapter",
+            "init_rotation_with_mlp1",
+            "hidden_with_fixed_affine",
+            "seed_with_identity_feature_map",
         ],
     )
     def test_config_mistake_exits_2(self, tmp_path, capsys, old, new, named):
@@ -286,7 +303,8 @@ class TestVerify:
 
     def test_inverse_map_suite_small(self, capsys):
         assert main(["verify", "inverse-map", "--trials", "10", "--seed", "0"]) == 0
-        assert "10/10" in capsys.readouterr().out
+        line = capsys.readouterr().out.strip()
+        assert re.fullmatch(r"PASS inverse-map: 10/10 residuals <= 1e-6, worst \S+; [1-9]\d* iterations, 0 on-support snaps", line)
 
     def test_minibatch_gradients_suite(self, capsys):
         assert main(["verify", "minibatch-gradients"]) == 0

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantmatch import PointCloud, geometric_quantile, phi, phi_loss, quantile_index
+from quantmatch import PointCloud, geometric_quantile, geometry, phi, phi_loss, quantile_index
 from quantmatch.geometry import (
+    COINCIDENCE_EPS,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     DegenerateCloudError,
     DimensionMismatchError,
     InvalidIndexError,
+    SolverReport,
+    _check_index,
+    _on_support_pull,
+    as_vector,
 )
 from quantmatch.rng import SplitMix64
 
@@ -216,6 +223,126 @@ class TestGeometricQuantile:
         rep = geometric_quantile(cloud, 0.999 * u)
         assert rep.on_support
         np.testing.assert_allclose(rep.quantile, cloud.points[3], atol=0)
+
+
+def reference_quantile(cloud, u, track_losses=False):
+    """The solver as it was before it shared distances between steps: every loss from the public phi_loss."""
+    pts = cloud.points
+    n, d = pts.shape
+    u = as_vector(u)
+    if u.shape[0] != d:
+        raise DimensionMismatchError("geometric_quantile: dimension mismatch")
+    _check_index(u, open_ball=True)
+
+    centered = pts - pts.mean(axis=0)
+    maybe_nonunique = np.linalg.matrix_rank(centered) < d
+
+    q = pts.mean(axis=0)
+    loss = phi_loss(cloud, u, q)
+    losses = [loss] if track_losses else None
+    on_support = False
+    iterations = 0
+
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
+        diff = q - pts
+        dist = np.linalg.norm(diff, axis=1)
+        nearest = int(np.argmin(dist))
+
+        if dist[nearest] < COINCIDENCE_EPS:
+            pull, pull_norm, inv_sum = _on_support_pull(pts, nearest, u)
+            if pull_norm <= 1.0:
+                q = pts[nearest].copy()
+                on_support = True
+                break
+            step = (pull_norm - 1.0) / inv_sum
+            candidate = pts[nearest] - step * pull / pull_norm
+            cand_loss = phi_loss(cloud, u, candidate)
+            while cand_loss > loss and step > 1e-18:
+                step *= 0.5
+                candidate = pts[nearest] - step * pull / pull_norm
+                cand_loss = phi_loss(cloud, u, candidate)
+            q, loss = candidate, cand_loss
+            if losses is not None:
+                losses.append(loss)
+            continue
+
+        grad = diff.T.dot(1.0 / dist) / n - u
+        if np.linalg.norm(grad) <= DEFAULT_TOL:
+            break
+
+        weights = 1.0 / dist
+        candidate = (pts.T.dot(weights) + n * u) / weights.sum()
+        cand_loss = phi_loss(cloud, u, candidate)
+        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(loss))
+        if cand_loss > loss + slack:
+            step = float(np.linalg.norm(candidate - q))
+            candidate = q - step * grad
+            cand_loss = phi_loss(cloud, u, candidate)
+            while cand_loss > loss + slack and step > 1e-18:
+                step *= 0.5
+                candidate = q - step * grad
+                cand_loss = phi_loss(cloud, u, candidate)
+            if cand_loss > loss + slack:
+                break
+        q, loss = candidate, cand_loss
+        if losses is not None:
+            losses.append(loss)
+
+    residual = float(np.linalg.norm(quantile_index(cloud, q) - u))
+    return SolverReport(
+        quantile=q,
+        iterations=iterations,
+        residual=residual,
+        converged=residual <= DEFAULT_TOL,
+        maybe_nonunique=bool(maybe_nonunique),
+        on_support=on_support,
+        loss_history=tuple(losses) if losses is not None else None,
+    )
+
+
+def assert_same_report(got, want):
+    assert got.quantile.tobytes() == want.quantile.tobytes()
+    assert got.iterations == want.iterations
+    assert got.residual == want.residual
+    assert got.converged == want.converged
+    assert got.on_support == want.on_support
+    assert got.maybe_nonunique == want.maybe_nonunique
+    assert got.loss_history == want.loss_history
+
+
+class TestSolverOracle:
+    """The solver reuses each iterate's distances; its reports must match the phi_loss-based reference bit for bit."""
+
+    def test_verify_draws_match_reference(self):
+        rng = SplitMix64.stream("verify_inverse", 0)  # the draws of `quantmatch verify inverse-map`
+        for _ in range(300):
+            n = 10 + rng.randbelow(191)
+            d = 2 + rng.randbelow(15)
+            cloud = PointCloud(rng.normals((n, d)))
+            direction = rng.normals(d)
+            direction /= np.linalg.norm(direction)
+            u = (0.9 * rng.uniform()) * direction
+            assert_same_report(geometric_quantile(cloud, u, track_losses=True), reference_quantile(cloud, u, True))
+
+    def test_step_off_a_data_point_matches_reference(self):
+        # the solve starts at the mean (0, 0), a data point whose pull has norm 4.5 > 1
+        cloud = PointCloud([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+        u = np.array([0.9, 0.0])
+        got = geometric_quantile(cloud, u, track_losses=True)
+        assert not got.on_support
+        assert got.loss_history[1] < got.loss_history[0]
+        assert_same_report(got, reference_quantile(cloud, u, True))
+
+    def test_overflowing_cloud_raises_as_reference(self, monkeypatch):
+        rng = SplitMix64.stream("overflow", 0)
+        cloud = PointCloud(1e200 * rng.normals((20, 3)))
+        u = np.array([0.3, 0.0, 0.1])
+        # the reference raises at its first non-finite candidate, not after 500 iterations at the residual
+        monkeypatch.setattr(geometry, "quantile_index", lambda cloud, z: pytest.fail("solver ran to its residual"))
+        for solve in (geometric_quantile, reference_quantile):
+            # squared distances overflow; the test settings turn numpy's overflow warnings into errors
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="vector has non-finite coordinates"):
+                solve(cloud, u)
 
 
 class TestPointCloud:
