@@ -153,7 +153,8 @@ def _construct(section: str, constructors: dict, values: dict, *skip: str, **giv
     extra = [f"[{section}] {key}" for key in args if key not in params]
     if extra:
         raise ConfigError(f"{section} kind {kind!r} does not take " + ", ".join(extra))
-    missing = [f"[{section}] {key}" for key, p in params.items() if p.default is p.empty and key not in args and key not in given]
+    needed = [key for key, p in params.items() if p.default is p.empty and key not in given]
+    missing = [f"[{section}] {key}" for key in needed if key not in args]
     if missing:
         raise ConfigError(f"{section} kind {kind!r} needs " + ", ".join(missing))
     with _section_values(section):
@@ -278,8 +279,8 @@ def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
         iterations += report.iterations
         snaps += report.on_support
     ok = failures == 0
-    detail = f"{trials - failures}/{trials} residuals <= 1e-6, worst {worst:.3e}; {iterations} iterations, {snaps} on-support snaps"
-    return _report(lines, ok, "inverse-map", detail)
+    counters = f"{iterations} iterations, {snaps} on-support snaps"
+    return _report(lines, ok, "inverse-map", f"{trials - failures}/{trials} residuals <= 1e-6, worst {worst:.3e}; {counters}")
 
 
 def verify_variance(n: int, b: int, seed: int, lines: list[str]) -> bool:
