@@ -15,14 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DimensionMismatchError, PointCloud
-from .loss import ReferenceSet, plane_dot, point_sums, unit_directions
+from .loss import ReferenceSet, plane_dot, point_sums, reference_blocks, unit_directions
 from .oracles import ENUMERATION_LIMIT, enumerate_batches
 from .rng import SplitMix64
 
 
 @dataclass
 class MemoryBank:
-    """Snapshot unit vectors and their per-reference averages."""
+    """Snapshot unit vectors and their per-reference averages.
+
+    The bank holds one (d, R, n) array; a refresh overwrites it in place, one
+    reference block at a time.
+    """
 
     snapshot_units: np.ndarray  # (d, R, n) unit planes toward each reference at theta_snap
     snapshot_avgs: np.ndarray   # (R, d) per-reference mean unit vectors at theta_snap
@@ -38,16 +42,52 @@ def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
     return unit_directions(points, ref_points)[0]
 
 
+def _sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bool, moments: bool):
+    """Build the units at `adapted` one reference block at a time; returns (moments, avgs).
+
+    avgs are their (R, d) means.  With moments, each block's population
+    moments against the snapshot are taken (population_moments' three (R,)
+    arrays, else None); with refresh, the block then overwrites the snapshot,
+    so no second (d, R, n) array is ever built.
+    """
+    if adapted.n != bank.snapshot_units.shape[2]:
+        raise DimensionMismatchError("bank size does not match the adapted cloud")
+    n = adapted.n
+    avgs = np.empty_like(bank.snapshot_avgs)
+    out = np.empty((3, refs.count)) if moments else None
+    for block in reference_blocks(refs.count, adapted.points.size):
+        units = per_sample_units(adapted.points, refs.quantiles[block])
+        avgs[block] = point_sums(units) / n
+        if moments:
+            out[:, block] = population_moments(units, bank.snapshot_units[:, block], avgs[block], bank.snapshot_avgs[block])
+        if refresh:
+            bank.snapshot_units[:, block] = units
+    if refresh:
+        bank.snapshot_avgs = avgs
+    return None if out is None else tuple(out), avgs
+
+
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
-    units = per_sample_units(adapted.points, refs.quantiles)
-    return MemoryBank(snapshot_units=units, snapshot_avgs=point_sums(units) / adapted.n)
+    d, n = adapted.dim, adapted.n
+    bank = MemoryBank(snapshot_units=np.empty((d, refs.count, n)), snapshot_avgs=np.empty((refs.count, d)))
+    _sweep(bank, adapted, refs, refresh=True, moments=False)
+    return bank
 
 
 def refresh_snapshot(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
-    """Recompute the snapshot at the current parameters."""
-    if adapted.n != bank.snapshot_units.shape[2]:
-        raise DimensionMismatchError("bank size does not match the adapted cloud")
-    return initialize_bank(adapted, refs)
+    """Overwrite the snapshot, in place, with the units at the current parameters; returns the bank."""
+    _sweep(bank, adapted, refs, refresh=True, moments=False)
+    return bank
+
+
+def snapshot_moments(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bool = False):
+    """Population moments of the units at `adapted` against the bank's snapshot, block by block.
+
+    Returns ((sigma_a2, sigma_s2, sigma_as), avgs): population_moments with
+    the current units as a and the snapshot as s, and the (R, d) means of the
+    current units.  With refresh, the snapshot is refreshed in the same pass.
+    """
+    return _sweep(bank, adapted, refs, refresh=refresh, moments=True)
 
 
 def control_variate_estimate(bank: MemoryBank, current_h: np.ndarray, snapshot_h: np.ndarray) -> np.ndarray:
@@ -65,14 +105,17 @@ class EstimatorDiagnostics:
     beta_star: float
 
 
-def population_moments(a_units: np.ndarray, s_units: np.ndarray):
+def population_moments(a_units: np.ndarray, s_units: np.ndarray, a_mean=None, s_mean=None):
     """Per-reference variances and cross-covariance of two (d, R, n) unit-plane populations.
 
     Returns (sigma_a2, sigma_s2, sigma_as), each (R,), using the expected
-    squared-norm convention.
+    squared-norm convention.  A population's (R, d) mean, when given, must be
+    its point_sums / n; it is computed when not given.
     """
     n = a_units.shape[2]
-    da, ds = (units - (point_sums(units) / n).T[:, :, None] for units in (a_units, s_units))
+    a_mean = point_sums(a_units) / n if a_mean is None else a_mean
+    s_mean = point_sums(s_units) / n if s_mean is None else s_mean
+    da, ds = (units - mean.T[:, :, None] for units, mean in ((a_units, a_mean), (s_units, s_mean)))
     return plane_dot(da, da).mean(axis=1), plane_dot(ds, ds).mean(axis=1), plane_dot(da, ds).mean(axis=1)
 
 
@@ -105,7 +148,8 @@ def estimator_variance(
     Variances are expected squared norms of the estimate around the exact
     population average, averaged across references.  beta_star is the
     variance-optimal control coefficient sigma_as / sigma_s^2 computed from
-    population sums; the estimator itself always uses beta = 1.  The control
+    population sums by snapshot_moments, the pass that gives the trainer its
+    variance columns; the estimator itself always uses beta = 1.  The control
     estimate is the trainer's: control_variate_estimate on a bank initialized
     at the snapshot, so at theta = theta_snap it measures exactly zero.
     """
@@ -122,10 +166,11 @@ def estimator_variance(
     elif draws < 1:
         raise ValueError(f"monte_carlo mode needs draws >= 1, got {draws}")
 
-    a_units = per_sample_units(adapted_t.points, refs.quantiles)
     bank = initialize_bank(adapted_snap, refs)
+    (_, sigma_s2, sigma_as), a_mean = snapshot_moments(bank, adapted_t, refs)
+    # the batch means below need every current unit at once
+    a_units = per_sample_units(adapted_t.points, refs.quantiles)
     s_units = bank.snapshot_units
-    a_mean = point_sums(a_units) / n
 
     crude_sq = 0.0
     control_sq = 0.0
@@ -138,7 +183,6 @@ def estimator_variance(
         control_sq += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))
         count += 1
 
-    sigma_a2, sigma_s2, sigma_as = population_moments(a_units, s_units)
     total_s2 = float(sigma_s2.sum())
     beta_star = float(sigma_as.sum() / total_s2) if total_s2 > 0 else float("nan")
     return EstimatorDiagnostics(

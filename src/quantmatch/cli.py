@@ -265,7 +265,7 @@ def _report(lines: list[str], ok: bool, name: str, detail: str) -> bool:
 def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
     rng = SplitMix64.stream("verify_inverse", seed)
     worst = 0.0
-    failures = iterations = snaps = 0
+    failures = iterations = snaps = fallbacks = halvings = 0
     for _ in range(trials):
         n = 10 + rng.randbelow(191)
         d = 2 + rng.randbelow(15)
@@ -278,8 +278,10 @@ def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
         failures += report.residual > 1e-6
         iterations += report.iterations
         snaps += report.on_support
+        fallbacks += report.fallbacks
+        halvings += report.halvings
     ok = failures == 0
-    counters = f"{iterations} iterations, {snaps} on-support snaps"
+    counters = f"{iterations} iterations, {snaps} on-support snaps, {fallbacks} fallbacks, {halvings} step halvings"
     return _report(lines, ok, "inverse-map", f"{trials - failures}/{trials} residuals <= 1e-6, worst {worst:.3e}; {counters}")
 
 
@@ -291,9 +293,8 @@ def verify_variance(n: int, b: int, seed: int, lines: list[str]) -> bool:
     snap = PointCloud(pts + 0.05 * rng.normals((n, 3)))
     refs = select_references(cloud, min(4, n), seed)
     diag = bank_mod.estimator_variance(cloud, snap, refs, b, mode="exhaustive")
-    crude, control = _variance_sample(
-        bank_mod.per_sample_units(pts, refs.quantiles), bank_mod.per_sample_units(snap.points, refs.quantiles), b, n
-    )
+    moments, _ = bank_mod.snapshot_moments(bank_mod.initialize_bank(snap, refs), cloud, refs)
+    crude, control = _variance_sample(moments, b, n)
     gap = max(abs(diag.crude_variance - crude), abs(diag.control_variance - control))
     ok = gap <= 1e-10
     return _report(lines, ok, "variance", f"n={n} b={b} crude and control, max |measured - formula| = {gap:.3e}")

@@ -114,7 +114,11 @@ def quantile_index(cloud: PointCloud, z) -> np.ndarray:
     if z.shape[0] != cloud.dim:
         raise DimensionMismatchError("quantile_index: dimension mismatch")
     diff = z - cloud.points
-    dist = np.linalg.norm(diff, axis=1)
+    return _average_direction(diff, np.linalg.norm(diff, axis=1))
+
+
+def _average_direction(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """quantile_index from the probe's differences z - Z_i and their norms."""
     keep = dist >= COINCIDENCE_EPS
     m = int(keep.sum())
     if m == 0:
@@ -133,6 +137,8 @@ class SolverReport:
     maybe_nonunique: bool = False
     on_support: bool = False
     loss_history: tuple[float, ...] | None = None
+    fallbacks: int = 0  # Weiszfeld steps replaced by gradient descent
+    halvings: int = 0   # step halvings, in the fallback and when stepping off a data point
 
 
 def _on_support_pull(pts: np.ndarray, r: int, u: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -189,7 +195,7 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
     loss, diff, dist = _loss_at(pts, u, q)
     losses = [loss] if track_losses else None
     on_support = False
-    iterations = 0
+    iterations = fallbacks = halvings = 0
 
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         nearest = dist.argmin()
@@ -206,6 +212,7 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
             at_candidate = _loss_at(pts, u, candidate)
             while at_candidate[0] > loss and step > 1e-18:
                 step *= 0.5
+                halvings += 1
                 candidate = pts[nearest] - step * pull / pull_norm
                 at_candidate = _loss_at(pts, u, candidate)
             q, (loss, diff, dist) = candidate, at_candidate
@@ -223,11 +230,13 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         slack = 4.0 * _FLOAT_EPS * max(1.0, abs(loss))  # absorb ulp noise only
         if at_candidate[0] > loss + slack:
             # halving-step gradient descent fallback
+            fallbacks += 1
             step = float(np.linalg.norm(candidate - q))
             candidate = q - step * grad
             at_candidate = _loss_at(pts, u, candidate)
             while at_candidate[0] > loss + slack and step > 1e-18:
                 step *= 0.5
+                halvings += 1
                 candidate = q - step * grad
                 at_candidate = _loss_at(pts, u, candidate)
             if at_candidate[0] > loss + slack:
@@ -236,7 +245,9 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         if losses is not None:
             losses.append(loss)
 
-    residual = float(np.linalg.norm(quantile_index(cloud, q) - u))
+    # the loop's last differences and distances are at q, unless q was snapped to a data point
+    index = quantile_index(cloud, q) if on_support else _average_direction(diff, dist)
+    residual = float(np.linalg.norm(index - u))
     return SolverReport(
         quantile=q,
         iterations=iterations,
@@ -245,4 +256,6 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         maybe_nonunique=bool(maybe_nonunique),
         on_support=on_support,
         loss_history=tuple(losses) if losses is not None else None,
+        fallbacks=fallbacks,
+        halvings=halvings,
     )

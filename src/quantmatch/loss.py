@@ -22,6 +22,20 @@ from .geometry import (
 )
 from .rng import SplitMix64
 
+# Reference selection, the loss and the bank run over blocks of references
+# whose (d, R, m) unit planes take at most BLOCK_BYTES, with at least
+# MIN_BLOCK_REFS references each (one reference alone takes point_sums'
+# cumsum path).  Each reference's arithmetic is the same in any block, so the
+# outputs do not depend on the block size.
+BLOCK_BYTES = 4 << 20
+MIN_BLOCK_REFS = 2
+
+
+def reference_blocks(count: int, plane_size: int) -> list[slice]:
+    """Consecutive slices of `count` references, against a cloud of plane_size = m * d values."""
+    size = max(MIN_BLOCK_REFS, BLOCK_BYTES // (8 * max(plane_size, 1)))
+    return [slice(start, start + size) for start in range(0, count, size)]
+
 
 @dataclass(frozen=True)
 class ReferenceSet:
@@ -92,7 +106,9 @@ def select_references(
     quantiles = source.points[idx].copy()
     # same vectorized path the loss uses, so a loss of exactly zero is
     # attainable when the adapted cloud reproduces the source
-    target_indices, _, _, _ = index_averages(source.points, quantiles)
+    target_indices = np.empty_like(quantiles)
+    for block in reference_blocks(count, source.points.size):
+        target_indices[block] = index_averages(source.points, quantiles[block])[0]
     return ReferenceSet(
         quantiles=quantiles,
         target_indices=target_indices,
@@ -170,22 +186,35 @@ def point_sums(units: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sums.T)
 
 
-def direction_point_grads(units: np.ndarray, resid: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def direction_point_grads(
+    units: np.ndarray,
+    resid: np.ndarray,
+    scale: np.ndarray,
+    previous: np.ndarray | None = None,
+) -> np.ndarray:
     """-sum_r scale[r, j] * (I - v v^T) resid[r] for v = units[:, r, j], one row per point.
 
     This is the point gradient of a loss in the residuals of averaged unit
     vectors, since d v / d x_j = -(I - v v^T) / dist_rj.  The caller's (R, m)
     scale carries 1/dist_rj, the averaging weight and the loss's own factor.
     Works one (R, m) coordinate plane at a time; returns an (m, d) array.
+    `previous`, this function's result for the earlier reference blocks, is
+    carried on: its sums head this block's terms, so the references are still
+    added one after another, as in a single block.
     """
     d, _, m = units.shape
     dots = plane_dot(units, resid.T[:, :, None])                 # (R, m)
     terms = ((resid[:, k, None] - plane * dots) * scale for k, plane in enumerate(units))
     if m == 1:
         # numpy adds a lone (R, 1) column pairwise, but an (R, d) block row by row
-        return -np.hstack(list(terms)).sum(axis=0, keepdims=True)
+        block = np.hstack(list(terms))
+        if previous is not None:
+            block = np.vstack((-previous, block))
+        return -block.sum(axis=0, keepdims=True)
     grads = np.empty((m, d))
     for k, term in enumerate(terms):
+        if previous is not None:
+            term = np.vstack((-previous[:, k], term))
         grads[:, k] = term.sum(axis=0)
     return -grads
 
@@ -213,16 +242,17 @@ def quantile_loss_on_points(
     """Mean squared index discrepancy over the references, and its point gradients.
 
     Takes the adapted cloud as a raw (m, d) array; the gradient, one row per
-    point, is d(total)/d(point) and is None unless want_grad.
+    point, is d(total)/d(point) and is None unless want_grad.  Runs over
+    reference blocks, so it holds one block's unit planes at a time.
     """
-    avgs, dist, units, mask = index_averages(points, refs.quantiles)
-    resid = avgs - refs.target_indices                           # (R, d)
-    total = float(np.sum(resid**2, axis=1).mean())
-
+    resid = np.empty_like(refs.target_indices)                   # (R, d)
     grads = None
-    if want_grad:
-        counts = mask.sum(axis=1)
-        scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
-        scale *= 2.0 / refs.count
-        grads = direction_point_grads(units, resid, scale)
-    return total, grads
+    for block in reference_blocks(refs.count, points.size):
+        avgs, dist, units, mask = index_averages(points, refs.quantiles[block])
+        resid[block] = avgs - refs.target_indices[block]
+        if want_grad:
+            counts = mask.sum(axis=1)
+            scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
+            scale *= 2.0 / refs.count
+            grads = direction_point_grads(units, resid[block], scale, grads)
+    return float(np.sum(resid**2, axis=1).mean()), grads

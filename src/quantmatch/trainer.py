@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import Adapter, FeatureMap
+# per_sample_units and population_moments are not called here, but
+# perfbench/tracer.py patches both by name in this module
 from .bank import (
     MemoryBank,
     control_variate_estimate,
@@ -24,6 +26,7 @@ from .bank import (
     per_sample_units,
     population_moments,
     refresh_snapshot,
+    snapshot_moments,
 )
 from .geometry import PointCloud
 from .loss import (
@@ -166,9 +169,9 @@ def rms_spread(points: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
 
 
-def _variance_sample(a_units: np.ndarray, s_units: np.ndarray, b: int, n: int):
-    """Closed-form crude/control variances from the current and snapshot (d, R, n) unit planes."""
-    sigma_a2, sigma_s2, sigma_as = population_moments(a_units, s_units)
+def _variance_sample(moments, b: int, n: int):
+    """Closed-form crude/control variances from snapshot_moments' (sigma_a2, sigma_s2, sigma_as)."""
+    sigma_a2, sigma_s2, sigma_as = moments
     crude = lemma_variance(float(sigma_a2.mean()), n, b)
     control = lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
     return crude, control
@@ -310,15 +313,18 @@ def train(
             epoch=epoch,
             compute_wasserstein=on_cadence,
         )
-        # in minibatch mode, refresh the bank for the next epoch when due
-        outgoing = bank
-        if not cfg.full_batch and epoch < cfg.epochs and epoch % cfg.snapshot_every == 0:
-            cloud = PointCloud(adapted)
-            bank = initialize_bank(cloud, refs) if bank is None else refresh_snapshot(bank, cloud, refs)
-        if outgoing is not None and cfg.batch_size < n:
-            # the refreshed bank already holds the units at these parameters
-            a_units = bank.snapshot_units if bank is not outgoing else per_sample_units(adapted, refs.quantiles)
-            rec.crude_var, rec.control_var = _variance_sample(a_units, outgoing.snapshot_units, cfg.batch_size, n)
+        # in minibatch mode, refresh the bank for the next epoch when due; the
+        # variance columns compare the units at these parameters with the
+        # outgoing snapshot, which the refresh overwrites in the same pass
+        refresh = not cfg.full_batch and epoch < cfg.epochs and epoch % cfg.snapshot_every == 0
+        if bank is None:
+            if refresh:
+                bank = initialize_bank(PointCloud(adapted), refs)
+        elif cfg.batch_size < n:
+            moments, _ = snapshot_moments(bank, PointCloud(adapted), refs, refresh=refresh)
+            rec.crude_var, rec.control_var = _variance_sample(moments, cfg.batch_size, n)
+        elif refresh:
+            refresh_snapshot(bank, PointCloud(adapted), refs)
         rec.grad_norm = grad_norm
         rec.flag = ";".join(x for x in (rec.flag, flag) if x)
         trace.records.append(rec)

@@ -87,21 +87,34 @@ class TestRefreshSnapshot:
 
     def test_idempotent_at_fixed_parameters(self):
         _, refs, current = make_instance(6)
-        bank1 = refresh_snapshot(initialize_bank(current, refs), current, refs)
-        bank2 = refresh_snapshot(bank1, current, refs)
-        np.testing.assert_array_equal(bank1.snapshot_avgs, bank2.snapshot_avgs)
-        np.testing.assert_array_equal(bank1.snapshot_units, bank2.snapshot_units)
+        bank = refresh_snapshot(initialize_bank(current, refs), current, refs)
+        avgs, units = bank.snapshot_avgs.copy(), bank.snapshot_units.copy()
+        refresh_snapshot(bank, current, refs)
+        np.testing.assert_array_equal(bank.snapshot_avgs, avgs)
+        np.testing.assert_array_equal(bank.snapshot_units, units)
+
+    def test_refresh_overwrites_the_one_snapshot_array(self):
+        rng, refs, current = make_instance(21)
+        bank = initialize_bank(current, refs)
+        units = bank.snapshot_units
+        moved = PointCloud(current.points + 0.1 * rng.normals(current.points.shape))
+        assert refresh_snapshot(bank, moved, refs) is bank
+        assert bank.snapshot_units is units
+        np.testing.assert_array_equal(units, per_sample_units(moved.points, refs.quantiles))
+        np.testing.assert_array_equal(bank.snapshot_avgs, initialize_bank(moved, refs).snapshot_avgs)
 
     def test_small_parameter_step_moves_averages_little(self):
         # empirical Lipschitz probe: a small adapter step perturbs the
         # snapshot averages by a small amount
         rng, refs, current = make_instance(7, n=40)
         adapter = make_adapter("affine", 2)
-        before = refresh_snapshot(initialize_bank(current, refs), current, refs)
+        bank = refresh_snapshot(initialize_bank(current, refs), current, refs)
+        before = bank.snapshot_avgs.copy()
         step = 1e-2 * rng.normals(adapter.params.shape)
         moved = PointCloud(adapter.with_params(adapter.params + step).forward_cloud(current.points))
-        after = refresh_snapshot(before, moved, refs)
-        drift = np.max(np.linalg.norm(after.snapshot_avgs - before.snapshot_avgs, axis=1))
+        after = refresh_snapshot(bank, moved, refs).snapshot_avgs
+        drift = np.max(np.linalg.norm(after - before, axis=1))
+        assert drift > 0
         assert drift < 0.05
 
     def test_size_mismatch(self):

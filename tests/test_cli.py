@@ -304,7 +304,7 @@ class TestVerify:
     def test_inverse_map_suite_small(self, capsys):
         assert main(["verify", "inverse-map", "--trials", "10", "--seed", "0"]) == 0
         line = capsys.readouterr().out.strip()
-        assert re.fullmatch(r"PASS inverse-map: 10/10 residuals <= 1e-6, worst \S+; [1-9]\d* iterations, 0 on-support snaps", line)
+        assert re.fullmatch(r"PASS inverse-map: 10/10 residuals <= 1e-6, worst \S+; [1-9]\d* iterations, 0 on-support snaps, \d+ fallbacks, \d+ step halvings", line)
 
     def test_minibatch_gradients_suite(self, capsys):
         assert main(["verify", "minibatch-gradients"]) == 0

@@ -345,6 +345,40 @@ class TestSolverOracle:
                 solve(cloud, u)
 
 
+class TestSolverCounters:
+    """fallbacks and halvings count what the solver did; an uphill trial loss is forced by inflating _loss_at."""
+
+    @staticmethod
+    def solve_with_uphill_calls(monkeypatch, cloud, u, uphill):
+        real, calls = geometry._loss_at, []
+
+        def inflated(pts, u, q):
+            calls.append(q)
+            loss, diff, dist = real(pts, u, q)
+            return (loss + 1.0 if len(calls) in uphill else loss), diff, dist
+
+        monkeypatch.setattr(geometry, "_loss_at", inflated)
+        return geometric_quantile(cloud, u)
+
+    def test_plain_solve_counts_nothing(self):
+        rep = geometric_quantile(PointCloud(SplitMix64.stream("counters", 0).normals((30, 3))), [0.2, -0.1, 0.3])
+        assert (rep.fallbacks, rep.halvings) == (0, 0)
+
+    def test_fallback_and_its_halvings(self, monkeypatch):
+        cloud = PointCloud(SplitMix64.stream("counters", 0).normals((30, 3)))
+        # call 2 is the first Weiszfeld candidate, 3 the fallback's full step, 4 its first halving
+        rep = self.solve_with_uphill_calls(monkeypatch, cloud, np.array([0.2, -0.1, 0.3]), uphill=(2, 3, 4))
+        assert (rep.fallbacks, rep.halvings) == (1, 2)
+        assert rep.converged
+
+    def test_halvings_stepping_off_a_data_point(self, monkeypatch):
+        # the solve starts at the mean (0, 0), a data point; call 2 is the step off it
+        cloud = PointCloud([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+        rep = self.solve_with_uphill_calls(monkeypatch, cloud, np.array([0.9, 0.0]), uphill=(2,))
+        assert (rep.fallbacks, rep.halvings) == (0, 1)
+        assert rep.converged
+
+
 class TestPointCloud:
     def test_rejects_identical_points(self):
         with pytest.raises(DegenerateCloudError):

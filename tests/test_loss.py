@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +14,19 @@ from quantmatch import (
     quantile_loss_on_points,
     select_references,
 )
-from quantmatch.bank import MemoryBank, estimator_variance, initialize_bank, per_sample_units, population_moments
+from quantmatch.bank import (
+    MemoryBank,
+    estimator_variance,
+    initialize_bank,
+    per_sample_units,
+    population_moments,
+    snapshot_moments,
+)
 from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
-from quantmatch.loss import ReferenceSet, index_averages, unit_directions
+from quantmatch.loss import BLOCK_BYTES, ReferenceSet, index_averages, reference_blocks, unit_directions
 from quantmatch.oracles import enumerate_batches
 from quantmatch.rng import SplitMix64
-from quantmatch.trainer import minibatch_point_grads
+from quantmatch.trainer import _variance_sample, minibatch_point_grads
 
 
 def labeled_source(n_per_class, classes, d, seed=0):
@@ -371,3 +381,124 @@ class TestPlaneKernel:
                 np.testing.assert_array_equal(got, want, err_msg=name)
             else:
                 assert np.max(np.abs(np.asarray(got) - want)) <= 1e-14 * size, name
+
+
+def blocked_outputs(points, refs, snapshot):
+    """Every output that a pass over reference blocks produces, as (name, value) pairs."""
+    total, grads = quantile_loss_on_points(points, refs)
+    outs = [("loss", total), ("grads", grads), ("loss_only", quantile_loss_on_points(points, refs, want_grad=False)[0])]
+    m = points.shape[0]
+    if m > 1 and np.any(points != points[0]) and np.any(snapshot != snapshot[0]):
+        cloud, snap = PointCloud(points), PointCloud(snapshot)
+        source_refs = select_references(snap, min(refs.count, m), seed=1)
+        bank = initialize_bank(snap, refs)
+        outs += [
+            ("target_indices", source_refs.target_indices),
+            ("snapshot_units", bank.snapshot_units.copy()),
+            ("snapshot_avgs", bank.snapshot_avgs),
+        ]
+        moments, avgs = snapshot_moments(bank, cloud, refs)
+        outs += [("moments", np.array(moments)), ("current_avgs", avgs), ("variances", _variance_sample(moments, 1, m))]
+        refreshed, _ = snapshot_moments(bank, cloud, refs, refresh=True)
+        outs += [
+            ("refresh_moments", np.array(refreshed)),
+            ("refreshed_units", bank.snapshot_units),
+            ("refreshed_avgs", bank.snapshot_avgs),
+            ("diagnostics", np.array(astuple(estimator_variance(cloud, snap, refs, b=1)))),
+        ]
+    return outs
+
+
+def assert_blocks_change_nothing(monkeypatch, points, refs, snapshot):
+    whole = blocked_outputs(points, refs, snapshot)
+    assert len(reference_blocks(refs.count, points.size)) == 1
+    monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)  # MIN_BLOCK_REFS = 2 references per block
+    assert [b.stop - b.start for b in reference_blocks(refs.count, points.size)][:-1] == [2] * ((refs.count - 1) // 2)
+    for (name, got), (_, want) in zip(blocked_outputs(points, refs, snapshot), whole):
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, name
+        else:
+            assert got == want, name
+
+
+class TestReferenceBlocks:
+    """Blocks of two references, with a last block of one, must give the bits of a single block."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    def test_bit_identical_to_one_block(self, monkeypatch, d, m):
+        rng = SplitMix64.stream("reference_blocks", 10 * d + m)
+        ref_points = rng.normals((5, d))
+        points = rng.normals((m, d))
+        if m > 1:
+            points[m // 2] = ref_points[4]  # a coincident pair in the last block
+        if m > 2:
+            points[-1] = points[0]
+        target = rng.normals((5, d))
+        target *= 0.5 / np.linalg.norm(target, axis=1, keepdims=True)
+        refs = ReferenceSet(quantiles=ref_points, target_indices=target)
+        assert_blocks_change_nothing(monkeypatch, points, refs, points + 0.01 * rng.normals((m, d)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases(dims=range(1, 9)))
+    def test_bit_identical_on_kernel_cases(self, case):
+        points, refs, _, snapshot = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_blocks_change_nothing(monkeypatch, points, refs, snapshot)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_reference_on_every_point_raises_in_any_block(self, monkeypatch, m):
+        rng = SplitMix64.stream("reference_blocks_degenerate", m)
+        ref_points = rng.normals((5, 3))
+        refs = ReferenceSet(quantiles=ref_points, target_indices=np.zeros((5, 3)))
+        points = np.repeat(ref_points[4:], m, axis=0)
+        for budget in (BLOCK_BYTES, 1):
+            monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", budget)
+            for want_grad in (True, False):
+                with pytest.raises(DegenerateCloudError):
+                    quantile_loss_on_points(points, refs, want_grad=want_grad)
+
+
+class TestBoundedMemory:
+    """At (R, n, d) = (300, 4080, 8) every pass holds a few blocks of unit planes, not (d, R, n) arrays."""
+
+    R, N, D = 300, 4080, 8
+    BLOCKS = 5  # the peak allowed over a pass's inputs, in BLOCK_BYTES
+
+    @pytest.fixture(scope="class")
+    def clouds(self):
+        rng = SplitMix64.stream("bounded_memory", 0)
+        source = PointCloud(rng.normals((self.N, self.D)))
+        current = PointCloud(rng.normals((self.N, self.D)) + 0.3)
+        return source, current, select_references(source, self.R, seed=0)
+
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_loss_and_reference_selection(self, clouds):
+        source, current, refs = clouds
+        full_planes = 8 * self.D * self.R * self.N
+        assert full_planes > 15 * BLOCK_BYTES
+        for call in (
+            lambda: select_references(source, self.R, seed=0),
+            lambda: quantile_loss_on_points(current.points, refs),
+            lambda: quantile_loss_on_points(current.points, refs, want_grad=False),
+        ):
+            assert self.peak_bytes(call) <= self.BLOCKS * BLOCK_BYTES
+
+    def test_bank_record_holds_one_snapshot(self, clouds):
+        source, current, refs = clouds
+        snapshot_bytes = 8 * self.D * self.R * self.N
+
+        def record():
+            bank = initialize_bank(source, refs)
+            snapshot_moments(bank, current, refs, refresh=True)
+            snapshot_moments(bank, source, refs)
+
+        assert self.peak_bytes(record) <= snapshot_bytes + self.BLOCKS * BLOCK_BYTES
