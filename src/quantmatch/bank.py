@@ -11,11 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import DimensionMismatchError, PointCloud
-from .loss import ReferenceSet, plane_dot, point_sums, reference_blocks, unit_directions
+from .loss import (
+    ReferenceSet,
+    kept_counts,
+    plane_dot,
+    point_major,
+    point_sums,
+    reference_blocks,
+    residual_loss,
+    row_sums,
+    unit_directions,
+)
 from .oracles import ENUMERATION_LIMIT, enumerate_batches
 from .rng import SplitMix64
 
@@ -24,12 +35,26 @@ from .rng import SplitMix64
 class MemoryBank:
     """Snapshot unit vectors and their per-reference averages.
 
-    The bank holds one (d, R, n) array; a refresh overwrites it in place, one
-    reference block at a time.
+    The bank holds one point-major (d, n, R) array, so a batch's snapshot
+    units are whole rows; a refresh overwrites it in place, one reference
+    block at a time.
     """
 
-    snapshot_units: np.ndarray  # (d, R, n) unit planes toward each reference at theta_snap
+    snapshot_units: np.ndarray  # (d, n, R): row j holds point j's unit vectors toward each reference at theta_snap
     snapshot_avgs: np.ndarray   # (R, d) per-reference mean unit vectors at theta_snap
+
+    @classmethod
+    def empty(cls, dim: int, count: int, n: int) -> MemoryBank:
+        """An unfilled bank for n points and `count` references; the first refreshing sweep fills it."""
+        return cls(snapshot_units=np.empty((dim, n, count)), snapshot_avgs=np.empty((count, dim)))
+
+
+class Sweep(NamedTuple):
+    """What one pass over the references at the current parameters gives."""
+
+    loss: float            # quantile_loss_on_points' loss, bit for bit
+    moments: tuple | None  # population_moments of the current units against the outgoing snapshot
+    avgs: np.ndarray       # (R, d) means of the current units over all n points
 
 
 def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
@@ -42,52 +67,48 @@ def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
     return unit_directions(points, ref_points)[0]
 
 
-def _sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bool, moments: bool):
-    """Build the units at `adapted` one reference block at a time; returns (moments, avgs).
+def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bool = False, moments: bool = True) -> Sweep:
+    """Build the units at `adapted` once, one reference block at a time, and take everything from them.
 
-    avgs are their (R, d) means.  With moments, each block's population
-    moments against the snapshot are taken (population_moments' three (R,)
-    arrays, else None); with refresh, the block then overwrites the snapshot,
-    so no second (d, R, n) array is ever built.
+    Each block's sums over the points give the loss (divided by the kept
+    counts, as index_averages does, so a reference that coincides with every
+    point raises DegenerateCloudError) and the bank means (divided by n).
+    With moments, the block's population moments against the snapshot are
+    taken next; with refresh, the block then overwrites the snapshot through
+    a transposed view, so no second (d, R, n) array is ever built.  A sweep
+    that raises may leave the snapshot refreshed up to the failing block.
     """
-    if adapted.n != bank.snapshot_units.shape[2]:
+    if adapted.n != bank.snapshot_units.shape[1]:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
     n = adapted.n
-    avgs = np.empty_like(bank.snapshot_avgs)
+    resid = np.empty_like(refs.target_indices)
+    avgs = np.empty_like(refs.target_indices)
     out = np.empty((3, refs.count)) if moments else None
     for block in reference_blocks(refs.count, adapted.points.size):
-        units = per_sample_units(adapted.points, refs.quantiles[block])
-        avgs[block] = point_sums(units) / n
+        units, _, mask = unit_directions(adapted.points, refs.quantiles[block])
+        sums = point_sums(units)
+        resid[block] = sums / kept_counts(mask)[:, None] - refs.target_indices[block]
+        avgs[block] = sums / n
+        snapshot = bank.snapshot_units[:, :, block]
         if moments:
-            out[:, block] = population_moments(units, bank.snapshot_units[:, block], avgs[block], bank.snapshot_avgs[block])
+            out[:, block] = population_moments(units, snapshot.transpose(0, 2, 1), avgs[block], bank.snapshot_avgs[block])
         if refresh:
-            bank.snapshot_units[:, block] = units
+            snapshot[...] = units.transpose(0, 2, 1)
     if refresh:
         bank.snapshot_avgs = avgs
-    return None if out is None else tuple(out), avgs
+    return Sweep(residual_loss(resid), None if out is None else tuple(out), avgs)
 
 
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
-    d, n = adapted.dim, adapted.n
-    bank = MemoryBank(snapshot_units=np.empty((d, refs.count, n)), snapshot_avgs=np.empty((refs.count, d)))
-    _sweep(bank, adapted, refs, refresh=True, moments=False)
+    bank = MemoryBank.empty(adapted.dim, refs.count, adapted.n)
+    sweep(bank, adapted, refs, refresh=True, moments=False)
     return bank
 
 
 def refresh_snapshot(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
     """Overwrite the snapshot, in place, with the units at the current parameters; returns the bank."""
-    _sweep(bank, adapted, refs, refresh=True, moments=False)
+    sweep(bank, adapted, refs, refresh=True, moments=False)
     return bank
-
-
-def snapshot_moments(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bool = False):
-    """Population moments of the units at `adapted` against the bank's snapshot, block by block.
-
-    Returns ((sigma_a2, sigma_s2, sigma_as), avgs): population_moments with
-    the current units as a and the snapshot as s, and the (R, d) means of the
-    current units.  With refresh, the snapshot is refreshed in the same pass.
-    """
-    return _sweep(bank, adapted, refs, refresh=refresh, moments=True)
 
 
 def control_variate_estimate(bank: MemoryBank, current_h: np.ndarray, snapshot_h: np.ndarray) -> np.ndarray:
@@ -110,12 +131,14 @@ def population_moments(a_units: np.ndarray, s_units: np.ndarray, a_mean=None, s_
 
     Returns (sigma_a2, sigma_s2, sigma_as), each (R,), using the expected
     squared-norm convention.  A population's (R, d) mean, when given, must be
-    its point_sums / n; it is computed when not given.
+    its point_sums / n; it is computed when not given.  Either population may
+    be a strided view, such as the transposed snapshot: the deviations are
+    written in C order, so each mean(axis=1) adds along contiguous points.
     """
     n = a_units.shape[2]
     a_mean = point_sums(a_units) / n if a_mean is None else a_mean
     s_mean = point_sums(s_units) / n if s_mean is None else s_mean
-    da, ds = (units - mean.T[:, :, None] for units, mean in ((a_units, a_mean), (s_units, s_mean)))
+    da, ds = (np.subtract(units, mean.T[:, :, None], order="C") for units, mean in ((a_units, a_mean), (s_units, s_mean)))
     return plane_dot(da, da).mean(axis=1), plane_dot(ds, ds).mean(axis=1), plane_dot(da, ds).mean(axis=1)
 
 
@@ -148,7 +171,7 @@ def estimator_variance(
     Variances are expected squared norms of the estimate around the exact
     population average, averaged across references.  beta_star is the
     variance-optimal control coefficient sigma_as / sigma_s^2 computed from
-    population sums by snapshot_moments, the pass that gives the trainer its
+    population sums by sweep, the pass that gives the trainer its
     variance columns; the estimator itself always uses beta = 1.  The control
     estimate is the trainer's: control_variate_estimate on a bank initialized
     at the snapshot, so at theta = theta_snap it measures exactly zero.
@@ -167,17 +190,17 @@ def estimator_variance(
         raise ValueError(f"monte_carlo mode needs draws >= 1, got {draws}")
 
     bank = initialize_bank(adapted_snap, refs)
-    (_, sigma_s2, sigma_as), a_mean = snapshot_moments(bank, adapted_t, refs)
-    # the batch means below need every current unit at once
-    a_units = per_sample_units(adapted_t.points, refs.quantiles)
+    _, (_, sigma_s2, sigma_as), a_mean = sweep(bank, adapted_t, refs)
+    # the batch means below need every current unit at once, point-major as in the bank
+    a_units = point_major(per_sample_units(adapted_t.points, refs.quantiles))
     s_units = bank.snapshot_units
 
     crude_sq = 0.0
     control_sq = 0.0
     count = 0
     for batch in _batch_iter(n, b, mode, draws, seed):
-        a_hat = point_sums(a_units[:, :, batch]) / b
-        s_hat = point_sums(s_units[:, :, batch]) / b
+        a_hat = row_sums(a_units[:, batch]) / b
+        s_hat = row_sums(s_units[:, batch]) / b
         crude_sq += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
         est = control_variate_estimate(bank, a_hat, s_hat)
         control_sq += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))

@@ -293,7 +293,7 @@ def verify_variance(n: int, b: int, seed: int, lines: list[str]) -> bool:
     snap = PointCloud(pts + 0.05 * rng.normals((n, 3)))
     refs = select_references(cloud, min(4, n), seed)
     diag = bank_mod.estimator_variance(cloud, snap, refs, b, mode="exhaustive")
-    moments, _ = bank_mod.snapshot_moments(bank_mod.initialize_bank(snap, refs), cloud, refs)
+    moments = bank_mod.sweep(bank_mod.initialize_bank(snap, refs), cloud, refs).moments
     crude, control = _variance_sample(moments, b, n)
     gap = max(abs(diag.crude_variance - crude), abs(diag.control_variance - control))
     ok = gap <= 1e-10

@@ -141,19 +141,21 @@ class SolverReport:
     halvings: int = 0   # step halvings, in the fallback and when stepping off a data point
 
 
-def _on_support_pull(pts: np.ndarray, r: int, u: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Pseudo-gradient at data point r: sum of unit vectors minus n*u.
+def _on_support_pull(pts: np.ndarray, r: int, dist: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """Pseudo-gradient at data point r, for an iterate whose distances to the points are `dist`.
 
-    The point is the exact minimizer iff the pull has norm <= 1 (the dropped
-    distance term contributes a unit subgradient ball).
+    Returns (pull, its norm, the sum of the inverse distances, k): the pull
+    is the sum of unit vectors from the other points to point r minus n*u,
+    over the points at COINCIDENCE_EPS or more from the iterate, and k counts
+    the points dropped, r and its copies.  Each dropped distance term
+    contributes a unit subgradient ball, so point r is the exact minimizer
+    iff the pull has norm <= k.
     """
-    mask = np.ones(len(pts), dtype=bool)
-    mask[r] = False
-    diff = pts[r] - pts[mask]
-    dist = np.linalg.norm(diff, axis=1)
-    inv = 1.0 / dist
+    keep = dist >= COINCIDENCE_EPS
+    diff = pts[r] - pts[keep]
+    inv = 1.0 / np.linalg.norm(diff, axis=1)
     pull = diff.T.dot(inv) - len(pts) * u
-    return pull, float(np.linalg.norm(pull)), float(inv.sum())
+    return pull, float(np.linalg.norm(pull)), float(inv.sum()), len(pts) - int(keep.sum())
 
 
 def _loss_at(pts: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -201,13 +203,13 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         nearest = dist.argmin()
 
         if dist[nearest] < COINCIDENCE_EPS:
-            pull, pull_norm, inv_sum = _on_support_pull(pts, nearest, u)
-            if pull_norm <= 1.0:
+            pull, pull_norm, inv_sum, k = _on_support_pull(pts, nearest, dist, u)
+            if pull_norm <= k:
                 q = pts[nearest].copy()
                 on_support = True
                 break
             # not optimal: step off the point along the descent direction
-            step = (pull_norm - 1.0) / inv_sum
+            step = (pull_norm - k) / inv_sum
             candidate = pts[nearest] - step * pull / pull_norm
             at_candidate = _loss_at(pts, u, candidate)
             while at_candidate[0] > loss and step > 1e-18:

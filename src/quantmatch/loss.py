@@ -24,7 +24,7 @@ from .rng import SplitMix64
 
 # Reference selection, the loss and the bank run over blocks of references
 # whose (d, R, m) unit planes take at most BLOCK_BYTES, with at least
-# MIN_BLOCK_REFS references each (one reference alone takes point_sums'
+# MIN_BLOCK_REFS references each (one reference alone takes row_sums'
 # cumsum path).  Each reference's arithmetic is the same in any block, so the
 # outputs do not depend on the block size.
 BLOCK_BYTES = 4 << 20
@@ -173,17 +173,27 @@ def unit_directions(points: np.ndarray, ref_points: np.ndarray):
     return units, dist, mask
 
 
-def point_sums(units: np.ndarray) -> np.ndarray:
-    """(R, d) sums of the (d, R, m) unit planes over the points, added in point order.
+def point_major(units: np.ndarray) -> np.ndarray:
+    """A contiguous (d, m, R) copy of (d, R, m) unit planes: one row of R unit-vector coordinates per point."""
+    return np.ascontiguousarray(units.transpose(0, 2, 1))
 
-    numpy adds along the contiguous last axis pairwise, so the sums are taken
-    over a (d, m, R) copy, whose point rows it adds one after another.
+
+def row_sums(rows: np.ndarray) -> np.ndarray:
+    """(R, d) sums over the points of point-major (d, m, R) units, added in point order.
+
+    numpy adds a contiguous (d, m, R) array's point rows one after another;
+    along the contiguous last axis it would add pairwise.
     """
-    if units.shape[1] == 1:  # one reference: its points would be the contiguous axis again
-        sums = np.cumsum(units, axis=2)[..., -1]
+    if rows.shape[2] == 1:  # one reference: its points would be the contiguous axis again
+        sums = np.cumsum(rows, axis=1)[:, -1]
     else:
-        sums = np.ascontiguousarray(units.transpose(0, 2, 1)).sum(axis=1)
+        sums = rows.sum(axis=1)
     return np.ascontiguousarray(sums.T)
+
+
+def point_sums(units: np.ndarray) -> np.ndarray:
+    """(R, d) sums of the (d, R, m) unit planes over the points, added in point order."""
+    return row_sums(point_major(units))
 
 
 def direction_point_grads(
@@ -219,6 +229,14 @@ def direction_point_grads(
     return -grads
 
 
+def kept_counts(mask: np.ndarray) -> np.ndarray:
+    """(R,) pairs kept per reference; a reference that coincides with every point raises DegenerateCloudError."""
+    counts = mask.sum(axis=1)
+    if np.any(counts == 0):
+        raise DegenerateCloudError("a reference coincides with every adapted point")
+    return counts
+
+
 def index_averages(points: np.ndarray, ref_points: np.ndarray):
     """Per-reference averaged unit vectors from the points toward each reference.
 
@@ -227,11 +245,13 @@ def index_averages(points: np.ndarray, ref_points: np.ndarray):
     (d, R, m) array of unit_directions.
     """
     units, dist, mask = unit_directions(points, ref_points)
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise DegenerateCloudError("a reference coincides with every adapted point")
-    avgs = point_sums(units) / counts[:, None]
+    avgs = point_sums(units) / kept_counts(mask)[:, None]
     return avgs, dist, units, mask
+
+
+def residual_loss(resid: np.ndarray) -> float:
+    """The loss from the (R, d) residuals of the averaged unit vectors against the target indices."""
+    return float(np.sum(resid**2, axis=1).mean())
 
 
 def quantile_loss_on_points(
@@ -255,4 +275,4 @@ def quantile_loss_on_points(
             scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
             scale *= 2.0 / refs.count
             grads = direction_point_grads(units, resid[block], scale, grads)
-    return float(np.sum(resid**2, axis=1).mean()), grads
+    return residual_loss(resid), grads

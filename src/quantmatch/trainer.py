@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import Adapter, FeatureMap
-# per_sample_units and population_moments are not called here, but
-# perfbench/tracer.py patches both by name in this module
+# initialize_bank, per_sample_units, population_moments and refresh_snapshot
+# are not called here, but perfbench/tracer.py patches them by name in this module
 from .bank import (
     MemoryBank,
     control_variate_estimate,
@@ -26,7 +26,7 @@ from .bank import (
     per_sample_units,
     population_moments,
     refresh_snapshot,
-    snapshot_moments,
+    sweep,
 )
 from .geometry import PointCloud
 from .loss import (
@@ -34,6 +34,7 @@ from .loss import (
     direction_point_grads,
     point_sums,
     quantile_loss_on_points,
+    row_sums,
     select_references,
     unit_directions,
 )
@@ -170,7 +171,7 @@ def rms_spread(points: np.ndarray) -> float:
 
 
 def _variance_sample(moments, b: int, n: int):
-    """Closed-form crude/control variances from snapshot_moments' (sigma_a2, sigma_s2, sigma_as)."""
+    """Closed-form crude/control variances from a sweep's moments (sigma_a2, sigma_s2, sigma_as)."""
     sigma_a2, sigma_s2, sigma_as = moments
     crude = lemma_variance(float(sigma_a2.mean()), n, b)
     control = lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
@@ -186,13 +187,13 @@ def minibatch_point_grads(
     """Point gradients of mean_r ||estimate_r - u_r||^2 through the batch term.
 
     yb holds the adapted points, at the current parameters, of the samples
-    whose indices are `batch`; their snapshot units are read from the bank.
+    whose indices are `batch`; their snapshot units are the bank's rows `batch`.
     estimate_r is the control-variate estimate of the population average, so
     only yb's own units carry gradient.
     """
     b = yb.shape[0]
     units, dist, mask = unit_directions(yb, refs.quantiles)           # (d, R, b)
-    estimate = control_variate_estimate(bank, point_sums(units) / b, point_sums(bank.snapshot_units[:, :, batch]) / b)
+    estimate = control_variate_estimate(bank, point_sums(units) / b, row_sums(bank.snapshot_units[:, batch]) / b)
     resid = estimate - refs.target_indices                             # (R, d)
     scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
     return direction_point_grads(units, resid, scale)
@@ -205,9 +206,14 @@ def evaluate_epoch(
     pairing: Pairing | None = None,
     epoch: int = 0,
     compute_wasserstein: bool = True,
+    loss: float | None = None,
 ) -> EpochRecord:
-    """Full-data metrics of the adapted (n, d) cloud; the Wasserstein oracle runs on cadence."""
-    loss, _ = quantile_loss_on_points(adapted, refs, want_grad=False)
+    """Full-data metrics of the adapted (n, d) cloud; the Wasserstein oracle runs on cadence.
+
+    `loss`, when given, is the quantile loss at `adapted`, as the bank's sweep computes it.
+    """
+    if loss is None:
+        loss, _ = quantile_loss_on_points(adapted, refs, want_grad=False)
 
     mse = None
     if pairing is not None:
@@ -305,6 +311,16 @@ def train(
             trace.divergence = (epoch, ratio)
             break
         on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
+        swept = None
+        if not cfg.full_batch:
+            # one pass over the references gives the record's loss, the
+            # variance moments against the outgoing snapshot and, when due,
+            # the refresh for the next epoch; epoch 0 fills a new bank
+            if bank is None:
+                bank = MemoryBank.empty(adapted.shape[1], refs.count, n)
+            refresh = epoch < cfg.epochs and epoch % cfg.snapshot_every == 0
+            moments = epoch > 0 and cfg.batch_size < n
+            swept = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=moments)
         rec = evaluate_epoch(
             adapted,
             source_feats,
@@ -312,19 +328,10 @@ def train(
             pairing,
             epoch=epoch,
             compute_wasserstein=on_cadence,
+            loss=None if swept is None else swept.loss,
         )
-        # in minibatch mode, refresh the bank for the next epoch when due; the
-        # variance columns compare the units at these parameters with the
-        # outgoing snapshot, which the refresh overwrites in the same pass
-        refresh = not cfg.full_batch and epoch < cfg.epochs and epoch % cfg.snapshot_every == 0
-        if bank is None:
-            if refresh:
-                bank = initialize_bank(PointCloud(adapted), refs)
-        elif cfg.batch_size < n:
-            moments, _ = snapshot_moments(bank, PointCloud(adapted), refs, refresh=refresh)
-            rec.crude_var, rec.control_var = _variance_sample(moments, cfg.batch_size, n)
-        elif refresh:
-            refresh_snapshot(bank, PointCloud(adapted), refs)
+        if swept is not None and swept.moments is not None:
+            rec.crude_var, rec.control_var = _variance_sample(swept.moments, cfg.batch_size, n)
         rec.grad_norm = grad_norm
         rec.flag = ";".join(x for x in (rec.flag, flag) if x)
         trace.records.append(rec)

@@ -13,6 +13,7 @@ from quantmatch import (
 )
 from quantmatch.bank import lemma_variance, per_sample_units, population_moments
 from quantmatch.geometry import DimensionMismatchError
+from quantmatch.loss import point_sums, row_sums
 from quantmatch.rng import SplitMix64
 
 
@@ -100,7 +101,7 @@ class TestRefreshSnapshot:
         moved = PointCloud(current.points + 0.1 * rng.normals(current.points.shape))
         assert refresh_snapshot(bank, moved, refs) is bank
         assert bank.snapshot_units is units
-        np.testing.assert_array_equal(units, per_sample_units(moved.points, refs.quantiles))
+        np.testing.assert_array_equal(units, per_sample_units(moved.points, refs.quantiles).transpose(0, 2, 1))
         np.testing.assert_array_equal(bank.snapshot_avgs, initialize_bank(moved, refs).snapshot_avgs)
 
     def test_small_parameter_step_moves_averages_little(self):
@@ -128,7 +129,7 @@ class TestRefreshSnapshot:
         with pytest.raises(DimensionMismatchError):
             refresh_snapshot(bank, PointCloud(current.points[: refs.count]), refs)
         moved = PointCloud(current.points + 0.1)
-        assert refresh_snapshot(bank, moved, refs).snapshot_units.shape[2] == current.n
+        assert refresh_snapshot(bank, moved, refs).snapshot_units.shape[1] == current.n
 
     def test_cloud_dimension_must_match_references(self):
         _, refs, _ = make_instance(20)
@@ -140,20 +141,23 @@ class TestRefreshSnapshot:
         bank = initialize_bank(current, refs)
         assert np.all(np.linalg.norm(bank.snapshot_avgs, axis=1) <= 1.0 + 1e-12)
 
-    @pytest.mark.parametrize("d", [2, 8])
-    def test_batch_slice_equals_batch_build(self, d):
+    @pytest.mark.parametrize(
+        "d, ref_count", [pytest.param(d, r, id=f"{d}" if r > 1 else f"{d}-R1") for r in (6, 1) for d in (2, 8)]
+    )
+    def test_batch_slice_equals_batch_build(self, d, ref_count):
         # the minibatch step reads a batch's snapshot units out of the bank
         # instead of rebuilding them, so both routes must agree bit for bit;
         # the last point sits on a reference, so a masked zero row is covered
-        _, refs, current = make_instance(10 + d, n=30, d=d, ref_count=6)
-        current = PointCloud(np.vstack([current.points, refs.quantiles[2:3]]))
+        _, refs, current = make_instance(10 + d, n=30, d=d, ref_count=ref_count)
+        on_ref = min(2, ref_count - 1)
+        current = PointCloud(np.vstack([current.points, refs.quantiles[on_ref : on_ref + 1]]))
         bank = initialize_bank(current, refs)
-        assert bank.snapshot_units.shape == (d, 6, 31)
-        for idx in ((0, 1, 2), (30, 3, 17, 4), (5,), tuple(range(30, -1, -1))):
+        assert bank.snapshot_units.shape == (d, 31, ref_count)
+        for idx in ((0, 1, 2), (30, 3, 17, 4), (5,), (30,), tuple(range(30, -1, -1))):
             idx = np.asarray(idx)
-            np.testing.assert_array_equal(
-                bank.snapshot_units[:, :, idx], per_sample_units(current.points[idx], refs.quantiles)
-            )
+            built = per_sample_units(current.points[idx], refs.quantiles)
+            np.testing.assert_array_equal(bank.snapshot_units[:, idx], built.transpose(0, 2, 1))
+            assert row_sums(bank.snapshot_units[:, idx]).tobytes() == point_sums(built).tobytes()
 
 
 class TestEstimatorVariance:

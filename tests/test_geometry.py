@@ -12,7 +12,6 @@ from quantmatch.geometry import (
     InvalidIndexError,
     SolverReport,
     _check_index,
-    _on_support_pull,
     as_vector,
 )
 from quantmatch.rng import SplitMix64
@@ -224,6 +223,28 @@ class TestGeometricQuantile:
         assert rep.on_support
         np.testing.assert_allclose(rep.quantile, cloud.points[3], atol=0)
 
+    @pytest.mark.parametrize("u, on_support", [((0.3, 0.1), True), ((0.5, 0.3), False)])
+    def test_repeated_data_point(self, u, on_support):
+        # the solve starts at the mean (0, 0), which the cloud holds twice:
+        # both copies drop out of the pull, and its ball widens to radius 2
+        cloud = PointCloud([[0, 0], [0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
+        u = np.asarray(u)
+        rep = geometric_quantile(cloud, u)
+        assert rep.on_support == on_support
+        grid = np.stack(np.meshgrid(*[np.linspace(-1.5, 1.5, 301)] * 2), axis=-1).reshape(-1, 1, 2)
+        offsets = cloud.points - grid
+        brute = np.min(np.mean(np.linalg.norm(offsets, axis=2) + offsets @ u, axis=1))
+        assert phi_loss(cloud, u, rep.quantile) <= brute + 1e-12
+        if on_support:
+            # the certificate: the pull of the other points lies in the ball of the two dropped terms
+            away = np.linalg.norm(cloud.points - rep.quantile, axis=1) >= COINCIDENCE_EPS
+            diff = rep.quantile - cloud.points[away]
+            pull = diff.T.dot(1.0 / np.linalg.norm(diff, axis=1)) - cloud.n * u
+            assert np.count_nonzero(~away) == 2
+            assert np.linalg.norm(pull) <= 2.0
+        else:
+            assert rep.converged
+
 
 def reference_quantile(cloud, u, track_losses=False):
     """The solver as it was before it shared distances between steps: every loss from the public phi_loss."""
@@ -249,7 +270,11 @@ def reference_quantile(cloud, u, track_losses=False):
         nearest = int(np.argmin(dist))
 
         if dist[nearest] < COINCIDENCE_EPS:
-            pull, pull_norm, inv_sum = _on_support_pull(pts, nearest, u)
+            # the pull as it was before repeated points were dropped with point r
+            others = pts[np.arange(n) != nearest]
+            inv = 1.0 / np.linalg.norm(pts[nearest] - others, axis=1)
+            pull = (pts[nearest] - others).T.dot(inv) - n * u
+            pull_norm, inv_sum = float(np.linalg.norm(pull)), float(inv.sum())
             if pull_norm <= 1.0:
                 q = pts[nearest].copy()
                 on_support = True

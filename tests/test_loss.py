@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quantmatch import (
     PointCloud,
@@ -20,7 +20,7 @@ from quantmatch.bank import (
     initialize_bank,
     per_sample_units,
     population_moments,
-    snapshot_moments,
+    sweep,
 )
 from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
 from quantmatch.loss import BLOCK_BYTES, ReferenceSet, index_averages, reference_blocks, unit_directions
@@ -334,7 +334,7 @@ def kernel_pairs(points, refs, batch, snapshot):
     got_units, got_dist, got_mask = unit_directions(points, refs.quantiles)
     got_total, got_grads = quantile_loss_on_points(points, refs)
     snap_units = broadcast_units(snapshot, refs.quantiles)[2]
-    bank = MemoryBank(snapshot_units=np.ascontiguousarray(snap_units.transpose(2, 0, 1)), snapshot_avgs=snap_units.mean(axis=1))
+    bank = MemoryBank(snapshot_units=np.ascontiguousarray(snap_units.transpose(2, 1, 0)), snapshot_avgs=snap_units.mean(axis=1))
     batch_grads, batch_scale = broadcast_minibatch_grads(points[batch], batch, snap_units, refs)
     got_moments = population_moments(per_sample_units(points, refs.quantiles), per_sample_units(snapshot, refs.quantiles))
     pairs = [
@@ -397,9 +397,9 @@ def blocked_outputs(points, refs, snapshot):
             ("snapshot_units", bank.snapshot_units.copy()),
             ("snapshot_avgs", bank.snapshot_avgs),
         ]
-        moments, avgs = snapshot_moments(bank, cloud, refs)
+        _, moments, avgs = sweep(bank, cloud, refs)
         outs += [("moments", np.array(moments)), ("current_avgs", avgs), ("variances", _variance_sample(moments, 1, m))]
-        refreshed, _ = snapshot_moments(bank, cloud, refs, refresh=True)
+        refreshed = sweep(bank, cloud, refs, refresh=True).moments
         outs += [
             ("refresh_moments", np.array(refreshed)),
             ("refreshed_units", bank.snapshot_units),
@@ -498,7 +498,54 @@ class TestBoundedMemory:
 
         def record():
             bank = initialize_bank(source, refs)
-            snapshot_moments(bank, current, refs, refresh=True)
-            snapshot_moments(bank, source, refs)
+            sweep(bank, current, refs, refresh=True)
+            sweep(bank, source, refs)
 
         assert self.peak_bytes(record) <= snapshot_bytes + self.BLOCKS * BLOCK_BYTES
+
+
+class TestSweepLoss:
+    """The bank's sweep gives quantile_loss_on_points' loss bit for bit, in one block or in blocks of two references and a last one of one."""
+
+    @pytest.mark.parametrize("budget", [BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bit_identical_to_the_loss(self, monkeypatch, d, budget):
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", budget)
+        rng = SplitMix64.stream("sweep_loss", d)
+        ref_points = rng.normals((5, d))
+        points = rng.normals((9, d))
+        points[4] = ref_points[4]  # a coincident pair in the last block
+        points[-1] = points[0]
+        target = rng.normals((5, d))
+        target *= 0.5 / np.linalg.norm(target, axis=1, keepdims=True)
+        refs = ReferenceSet(quantiles=ref_points, target_indices=target)
+        assert [len(range(5)[b]) for b in reference_blocks(5, points.size)] == ([5] if budget == BLOCK_BYTES else [2, 2, 1])
+        want = quantile_loss_on_points(points, refs, want_grad=False)[0]
+        bank = initialize_bank(PointCloud(points + 0.01 * rng.normals((9, d))), refs)
+        for refresh, moments in ((False, True), (True, True), (False, False), (True, False)):
+            assert sweep(bank, PointCloud(points), refs, refresh=refresh, moments=moments).loss.hex() == want.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases(dims=range(1, 9)), st.booleans())
+    def test_bit_identical_on_kernel_cases(self, case, blocks):
+        points, refs, _, snapshot = case
+        assume(np.any(points != points[0]) and np.any(snapshot != snapshot[0]))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if blocks:
+                monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)
+            got = sweep(initialize_bank(PointCloud(snapshot), refs), PointCloud(points), refs).loss
+            want = quantile_loss_on_points(points, refs, want_grad=False)[0]
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("budget", [BLOCK_BYTES, 1])
+    def test_reference_on_every_point_raises(self, monkeypatch, budget):
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", budget)
+        ref_points = SplitMix64.stream("sweep_loss_degenerate", 0).normals((5, 3))
+        refs = ReferenceSet(quantiles=ref_points, target_indices=np.zeros((5, 3)))
+        # two distinct points, both within COINCIDENCE_EPS of the last reference
+        cloud = PointCloud(np.vstack([ref_points[4], ref_points[4] + 1e-13]))
+        with pytest.raises(DegenerateCloudError):
+            quantile_loss_on_points(cloud.points, refs, want_grad=False)
+        for refresh, moments in ((False, True), (True, False)):
+            with pytest.raises(DegenerateCloudError):
+                sweep(MemoryBank.empty(3, 5, 2), cloud, refs, refresh=refresh, moments=moments)

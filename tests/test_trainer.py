@@ -20,6 +20,7 @@ from quantmatch import (
     train,
     two_moons,
 )
+from quantmatch import bank as bank_mod, loss as loss_mod, trainer as trainer_mod
 from quantmatch.adapters import Adapter
 from quantmatch.bank import lemma_variance, per_sample_units, population_moments
 from quantmatch.trainer import (
@@ -190,6 +191,31 @@ class TestForwardCount:
         assert clean.n == 510
         assert rows.count(clean.n) == cfg.epochs + 1
         assert len(rows) - rows.count(clean.n) == batch_calls
+
+
+class TestUnitBuildCount:
+    # in memory-bank mode a record builds the units of its R x n pairs once,
+    # for the loss, the bank means, the variance moments and the refresh
+    # together, and each step builds the R x b pairs of its batch
+    @pytest.mark.parametrize("batch_size, snapshot_every", [(64, 1), (64, 2), (510, 1)])
+    def test_one_unit_build_per_record(self, monkeypatch, batch_size, snapshot_every):
+        clean, target, src, fmap = sixblobs_setup()
+        pairs = []
+        build = loss_mod.unit_directions
+
+        def counting_build(points, ref_points):
+            pairs.append(ref_points.shape[0] * points.shape[0])
+            return build(points, ref_points)
+
+        for module in (loss_mod, bank_mod, trainer_mod):
+            monkeypatch.setattr(module, "unit_directions", counting_build)
+        cfg = cfg_for(clean.n, epochs=3, batch_size=batch_size, full_batch=False, snapshot_every=snapshot_every)
+        train(src, target.cloud, make_adapter("affine", 2), fmap, cfg, pairing=target.pairing)
+        count, n, records = cfg.reference_count, clean.n, cfg.epochs + 1
+        steps = cfg.epochs * -(-n // batch_size)
+        # select_references builds the source's pairs once, in one block as every pass here
+        assert len(pairs) == 1 + records + steps
+        assert sum(pairs) == count * src.n + records * count * n + cfg.epochs * count * n
 
 
 class TestTrendBehaviors:
