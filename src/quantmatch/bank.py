@@ -18,11 +18,11 @@ import numpy as np
 from .geometry import DimensionMismatchError, PointCloud
 from .loss import (
     ReferenceSet,
+    for_each_block,
     kept_counts,
     plane_dot,
     point_major,
     point_sums,
-    reference_blocks,
     residual_loss,
     row_sums,
     unit_directions,
@@ -75,8 +75,10 @@ def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bo
     point raises DegenerateCloudError) and the bank means (divided by n).
     With moments, the block's population moments against the snapshot are
     taken next; with refresh, the block then overwrites the snapshot through
-    a transposed view, so no second (d, R, n) array is ever built.  A sweep
-    that raises may leave the snapshot refreshed up to the failing block.
+    a transposed view, so no second (d, R, n) array is ever built.  The
+    blocks run through for_each_block, each writing only its own slices, so
+    the bits do not depend on the threads.  A sweep that raises may leave
+    any of the snapshot's blocks refreshed.
     """
     if adapted.n != bank.snapshot_units.shape[1]:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
@@ -84,7 +86,8 @@ def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bo
     resid = np.empty_like(refs.target_indices)
     avgs = np.empty_like(refs.target_indices)
     out = np.empty((3, refs.count)) if moments else None
-    for block in reference_blocks(refs.count, adapted.points.size):
+
+    def sweep_block(block):
         units, _, mask = unit_directions(adapted.points, refs.quantiles[block])
         sums = point_sums(units)
         resid[block] = sums / kept_counts(mask)[:, None] - refs.target_indices[block]
@@ -94,6 +97,8 @@ def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bo
             out[:, block] = population_moments(units, snapshot.transpose(0, 2, 1), avgs[block], bank.snapshot_avgs[block])
         if refresh:
             snapshot[...] = units.transpose(0, 2, 1)
+
+    for_each_block(sweep_block, refs.count, adapted.points.size)
     if refresh:
         bank.snapshot_avgs = avgs
     return Sweep(residual_loss(resid), None if out is None else tuple(out), avgs)

@@ -126,6 +126,12 @@ def _average_direction(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return diff[keep].T.dot(1.0 / dist[keep]) / m
 
 
+def maybe_nonunique(cloud: PointCloud) -> bool:
+    """Whether the cloud lies in a proper affine subspace, where a quantile need not be unique."""
+    pts = cloud.points
+    return bool(np.linalg.matrix_rank(pts - pts.mean(axis=0)) < cloud.dim)
+
+
 @dataclass(frozen=True)
 class SolverReport:
     """Outcome of a geometric-quantile solve."""
@@ -134,7 +140,6 @@ class SolverReport:
     iterations: int
     residual: float
     converged: bool
-    maybe_nonunique: bool = False
     on_support: bool = False
     loss_history: tuple[float, ...] | None = None
     fallbacks: int = 0  # Weiszfeld steps replaced by gradient descent
@@ -192,8 +197,6 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
     _check_index(u, open_ball=True)
 
     q = pts.mean(axis=0)
-    maybe_nonunique = np.linalg.matrix_rank(pts - q) < d
-
     loss, diff, dist = _loss_at(pts, u, q)
     losses = [loss] if track_losses else None
     on_support = False
@@ -255,7 +258,6 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         iterations=iterations,
         residual=residual,
         converged=residual <= DEFAULT_TOL,
-        maybe_nonunique=bool(maybe_nonunique),
         on_support=on_support,
         loss_history=tuple(losses) if losses is not None else None,
         fallbacks=fallbacks,

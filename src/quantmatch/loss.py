@@ -9,6 +9,8 @@ unit vectors h_r, which is what the memory-bank estimator exploits.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +28,70 @@ from .rng import SplitMix64
 # whose (d, R, m) unit planes take at most BLOCK_BYTES, with at least
 # MIN_BLOCK_REFS references each (one reference alone takes row_sums'
 # cumsum path).  Each reference's arithmetic is the same in any block, so the
-# outputs do not depend on the block size.
+# outputs do not depend on the block size.  Reference selection and the
+# bank's sweep share their blocks between THREADS threads (for_each_block),
+# with blocks of BLOCK_BYTES // THREADS, so the bytes in flight stay within
+# one BLOCK_BYTES.
 BLOCK_BYTES = 4 << 20
 MIN_BLOCK_REFS = 2
+THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
-def reference_blocks(count: int, plane_size: int) -> list[slice]:
-    """Consecutive slices of `count` references, against a cloud of plane_size = m * d values."""
-    size = max(MIN_BLOCK_REFS, BLOCK_BYTES // (8 * max(plane_size, 1)))
+def reference_blocks(count: int, plane_size: int, budget: int | None = None) -> list[slice]:
+    """Consecutive slices of `count` references, against a cloud of plane_size = m * d values.
+
+    Each block's unit planes take at most `budget` bytes (BLOCK_BYTES when not given).
+    """
+    budget = BLOCK_BYTES if budget is None else budget
+    size = max(MIN_BLOCK_REFS, budget // (8 * max(plane_size, 1)))
     return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def for_each_block(fn, count: int, plane_size: int) -> None:
+    """Call fn(block) on every reference block of reference_blocks(count, plane_size), on up to THREADS threads.
+
+    fn must write only its own block's slices of its outputs; then the
+    outputs do not depend on which thread ran a block, or when.  With one
+    thread, or references that fit one block, this is a plain loop on the
+    calling thread.  Otherwise the blocks take BLOCK_BYTES // THREADS each,
+    and the calling thread and THREADS - 1 helpers take them in order.  If
+    blocks raise, the exception of the lowest failing block is raised once
+    every helper has stopped; blocks above it may or may not have run.
+    fn must not reach a site of perfbench's tracer, whose span stack is
+    single-threaded: trace the whole pass from the calling thread instead.
+    """
+    blocks = reference_blocks(count, plane_size)
+    if THREADS == 1 or len(blocks) == 1:
+        for block in blocks:
+            fn(block)
+        return
+    blocks = reference_blocks(count, plane_size, BLOCK_BYTES // THREADS)
+    order = iter(range(len(blocks)))
+    errors: dict[int, Exception] = {}
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(order, None)
+                if i is None or errors:  # a recorded failure is of a lower block than i
+                    return
+            try:
+                fn(blocks[i])
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(THREADS - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 @dataclass(frozen=True)
@@ -107,8 +164,11 @@ def select_references(
     # same vectorized path the loss uses, so a loss of exactly zero is
     # attainable when the adapted cloud reproduces the source
     target_indices = np.empty_like(quantiles)
-    for block in reference_blocks(count, source.points.size):
+
+    def index_block(block):
         target_indices[block] = index_averages(source.points, quantiles[block])[0]
+
+    for_each_block(index_block, count, source.points.size)
     return ReferenceSet(
         quantiles=quantiles,
         target_indices=target_indices,

@@ -1,3 +1,8 @@
+import hashlib
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import astuple
 
@@ -23,7 +28,8 @@ from quantmatch.bank import (
     sweep,
 )
 from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
-from quantmatch.loss import BLOCK_BYTES, ReferenceSet, index_averages, reference_blocks, unit_directions
+import quantmatch.loss
+from quantmatch.loss import BLOCK_BYTES, ReferenceSet, for_each_block, index_averages, reference_blocks, unit_directions
 from quantmatch.oracles import enumerate_batches
 from quantmatch.rng import SplitMix64
 from quantmatch.trainer import _variance_sample, minibatch_point_grads
@@ -549,3 +555,100 @@ class TestSweepLoss:
         for refresh, moments in ((False, True), (True, False)):
             with pytest.raises(DegenerateCloudError):
                 sweep(MemoryBank.empty(3, 5, 2), cloud, refs, refresh=refresh, moments=moments)
+
+
+class TestThreadedBlocks:
+    """Reference selection and the sweep give the same bits on one thread as on two."""
+
+    @staticmethod
+    def outputs(source, current, count):
+        refs = select_references(source, count, seed=0)
+        bank = initialize_bank(source, refs)
+        swept = sweep(bank, current, refs, refresh=True)
+        return (
+            refs.target_indices.tobytes(),
+            swept.loss.hex(),
+            np.asarray(swept.moments).tobytes(),
+            swept.avgs.tobytes(),
+            hashlib.sha256(bank.snapshot_units).hexdigest(),
+            bank.snapshot_avgs.tobytes(),
+        )
+
+    @pytest.mark.parametrize(
+        "budget, shape",
+        [(1, (41, 60, 3)), (BLOCK_BYTES, (TestBoundedMemory.R, TestBoundedMemory.N, TestBoundedMemory.D))],
+    )
+    def test_two_threads_give_the_serial_bits(self, monkeypatch, budget, shape):
+        count, n, d = shape
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", budget)
+        rng = SplitMix64.stream("threaded_blocks", n)
+        source = PointCloud(rng.normals((n, d)))
+        current = PointCloud(rng.normals((n, d)) + 0.3)
+        assert len(reference_blocks(count, source.points.size)) > 1
+        monkeypatch.setattr("quantmatch.loss.THREADS", 1)
+        want = self.outputs(source, current, count)
+
+        threads = set()
+
+        def recorded(points, ref_points):
+            threads.add(threading.get_ident())
+            time.sleep(1e-3)  # hand over the GIL, so that both threads take blocks
+            return unit_directions(points, ref_points)
+
+        monkeypatch.setattr("quantmatch.loss.unit_directions", recorded)
+        monkeypatch.setattr("quantmatch.bank.unit_directions", recorded)
+        monkeypatch.setattr("quantmatch.loss.THREADS", 2)
+        assert self.outputs(source, current, count) == want
+        # the calling thread and each pass's helper (a new thread, so idents may differ between passes)
+        assert threading.get_ident() in threads and len(threads) >= 2
+
+    def test_blocks_halve_when_threaded(self, monkeypatch):
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 64)  # 4 references against a plane of 2 values
+        monkeypatch.setattr("quantmatch.loss.THREADS", 2)
+        calls = []
+
+        def fn(block):
+            calls.append((block.start, block.stop, threading.get_ident()))
+
+        for_each_block(fn, 4, 2)
+        assert calls == [(0, 4, threading.get_ident())]  # one block: a plain call on the calling thread
+        calls.clear()
+        for_each_block(fn, 8, 2)
+        assert sorted(call[:2] for call in calls) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lowest_failing_block_raises(self, monkeypatch, threads):
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)  # blocks of MIN_BLOCK_REFS = 2 references
+        monkeypatch.setattr("quantmatch.loss.THREADS", threads)
+        ran = []
+
+        def fn(block):
+            index = block.start // 2
+            ran.append(index)
+            if index == 1:
+                time.sleep(0.05)  # block 3 fails first
+                raise ValueError("block 1")
+            if index == 3:
+                raise KeyError("block 3")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block 1"):
+            for_each_block(fn, 12, 1)
+        assert threading.active_count() == before
+        assert {0, 1} <= set(ran)
+
+    def test_each_block_runs_once_under_contention(self, monkeypatch):
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)
+        monkeypatch.setattr("quantmatch.loss.THREADS", 4)  # twice the most THREADS takes, so threads contend for blocks
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran = []
+                for_each_block(lambda block: ran.append(block.start), 400, 1)
+                assert sorted(ran) == list(range(0, 400, 2))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_follow_the_affinity(self):
+        assert quantmatch.loss.THREADS == min(2, len(os.sched_getaffinity(0)))
