@@ -2,7 +2,7 @@
 an adapter map to match quantile indices, with a variance-reduced memory-bank
 estimator for small-batch training."""
 
-from .adapters import Adapter, FeatureMap, make_adapter, make_feature_map
+from .adapters import Adapter, FeatureMap
 from .bank import (
     EstimatorDiagnostics,
     MemoryBank,
@@ -64,8 +64,6 @@ __all__ = [
     "h_r",
     "identity_pairing",
     "initialize_bank",
-    "make_adapter",
-    "make_feature_map",
     "paired_mse",
     "phi",
     "phi_loss",

@@ -122,30 +122,6 @@ class Adapter:
         return cls(kind="mlp1", params=params, dim=dim, hidden=hidden)
 
 
-def make_adapter(
-    kind: str,
-    dim: int,
-    hidden: int = 16,
-    seed: int = 0,
-    init_rotation_deg: float = 0.0,
-) -> Adapter:
-    """Build an adapter of any kind initialized at the identity map.
-
-    The arguments that the kind's constructor (`Adapter.identity`,
-    `Adapter.affine`, `Adapter.mlp1`) does not take are ignored, except that
-    a non-finite init_rotation_deg is refused for every kind.
-    """
-    if not np.isfinite(init_rotation_deg):
-        raise ValueError("init_rotation_deg must be finite")
-    if kind == "identity":
-        return Adapter.identity(dim)
-    if kind == "affine":
-        return Adapter.affine(dim, init_rotation_deg)
-    if kind == "mlp1":
-        return Adapter.mlp1(dim, hidden, seed)
-    raise ValueError(f"unknown adapter kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class FeatureMap:
     """Frozen map from adapter outputs to feature space."""
@@ -218,26 +194,3 @@ def _out_dim(in_dim: int, out_dim: int | None) -> int:
         raise ValueError(f"out_dim must be >= 1, got {out_dim}")
     return out_dim
 
-
-def make_feature_map(
-    kind: str,
-    in_dim: int,
-    out_dim: int | None = None,
-    hidden: int = 0,
-    seed: int = 0,
-) -> FeatureMap:
-    """Build a frozen feature map of any kind.
-
-    The arguments that the kind's constructor (`FeatureMap.identity`,
-    `FeatureMap.fixed_affine`, `FeatureMap.fixed_mlp`) does not take are
-    checked but ignored.
-    """
-    if hidden < 0:
-        raise ValueError(f"hidden must be >= 0, got {hidden}")
-    if kind == "identity":
-        return FeatureMap.identity(in_dim, out_dim)
-    if kind == "fixed_affine":
-        return FeatureMap.fixed_affine(in_dim, out_dim, seed)
-    if kind == "fixed_mlp":
-        return FeatureMap.fixed_mlp(in_dim, out_dim, hidden, seed)
-    raise ValueError(f"unknown feature map kind {kind!r}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import oracles
-from .adapters import Adapter, FeatureMap, make_adapter, make_feature_map
+from .adapters import Adapter, FeatureMap
 from .datasets import Corruption, LabeledCloud, apply_corruption, cloud_to_csv, six_blobs, two_moons
 from .geometry import PointCloud, geometric_quantile
 from .loss import quantile_loss_on_points, select_references
@@ -300,26 +300,32 @@ def verify_variance(n: int, b: int, seed: int, lines: list[str]) -> bool:
     return _report(lines, ok, "variance", f"n={n} b={b} crude and control, max |measured - formula| = {gap:.3e}")
 
 
+def _gradient_case(rng: SplitMix64, adapter: Adapter, m: int, seed: int):
+    """A gradient suite's case: (target, fmap, refs, adapted, grad) for the adapter, at m points.
+
+    Draws an (m, d) source cloud, then an (m, d) target cloud shifted by 0.5,
+    from rng; fmap is the identity and grad the full-batch parameter gradient.
+    """
+    d = adapter.dim
+    source = PointCloud(rng.normals((m, d)))
+    target = rng.normals((m, d)) + 0.5
+    fmap = FeatureMap.identity(d)
+    refs = select_references(source, min(4, m), seed)
+    transformed = adapter.forward_cloud(target)
+    adapted = fmap.forward_cloud(transformed)
+    _, point_grads = quantile_loss_on_points(adapted, refs)
+    return target, fmap, refs, adapted, _chain_param_grad(adapter, fmap, target, transformed, point_grads)
+
+
 def verify_gradients(seed: int, lines: list[str]) -> bool:
     rng = SplitMix64.stream("verify_gradients", seed)
     ok_all = True
-    for kind in ("identity", "affine", "mlp1"):
-        d, m = 3, 12
-        source = PointCloud(rng.normals((m, d)))
-        target = PointCloud(rng.normals((m, d)) + 0.5)
-        fmap = make_feature_map("identity", d)
-        adapter = make_adapter(kind, d, hidden=5, seed=seed)
-        refs = select_references(source, 4, seed)
+    for adapter in (Adapter.identity(3), Adapter.affine(3), Adapter.mlp1(3, hidden=5, seed=seed)):
+        target, fmap, refs, _, analytic = _gradient_case(rng, adapter, 12, seed)
 
         def loss_at(theta, adapter=adapter):
-            probe = adapter.with_params(theta)
-            pts = fmap.forward_cloud(probe.forward_cloud(target.points))
+            pts = fmap.forward_cloud(adapter.with_params(theta).forward_cloud(target))
             return quantile_loss_on_points(pts, refs, want_grad=False)[0]
-
-        transformed = adapter.forward_cloud(target.points)
-        adapted = fmap.forward_cloud(transformed)
-        _, point_grads = quantile_loss_on_points(adapted, refs)
-        analytic = _chain_param_grad(adapter, fmap, target.points, transformed, point_grads)
 
         if adapter.n_params == 0:
             ok = True
@@ -329,7 +335,7 @@ def verify_gradients(seed: int, lines: list[str]) -> bool:
             rel = float(np.max(np.abs(analytic - numeric)) / (1.0 + np.max(np.abs(analytic))))
             ok = rel < 1e-4
             detail = f"max relative error {rel:.3e}"
-        ok_all &= _report(lines, ok, f"gradients[{kind}]", detail)
+        ok_all &= _report(lines, ok, f"gradients[{adapter.kind}]", detail)
     return ok_all
 
 
@@ -337,32 +343,21 @@ def verify_minibatch_gradients(n: int, b: int, seed: int, lines: list[str]) -> b
     """The bank's batch gradient, averaged over every b-subset at theta_snap, is the full-batch gradient."""
     rng = SplitMix64.stream("verify_minibatch_gradients", seed)
     ok_all = True
-    for kind in ("affine", "mlp1"):
-        d = 3
-        source = PointCloud(rng.normals((n, d)))
-        target = PointCloud(rng.normals((n, d)) + 0.5)
-        fmap = make_feature_map("identity", d)
-        adapter = make_adapter(kind, d, hidden=5, seed=seed)
-        refs = select_references(source, min(4, n), seed)
-
-        transformed = adapter.forward_cloud(target.points)
-        adapted = fmap.forward_cloud(transformed)
-        _, point_grads = quantile_loss_on_points(adapted, refs)
-        full = _chain_param_grad(adapter, fmap, target.points, transformed, point_grads)
-
+    for adapter in (Adapter.affine(3), Adapter.mlp1(3, hidden=5, seed=seed)):
+        target, fmap, refs, adapted, full = _gradient_case(rng, adapter, n, seed)
         bank = bank_mod.initialize_bank(PointCloud(adapted), refs)
         total = np.zeros_like(full)
         count = 0
         for combo in oracles.enumerate_batches(n, b):
             batch = np.asarray(combo, dtype=int)
-            xb = target.points[batch]
+            xb = target[batch]
             tb = adapter.forward_cloud(xb)
             grads = minibatch_point_grads(fmap.forward_cloud(tb), batch, bank, refs)
             total += _chain_param_grad(adapter, fmap, xb, tb, grads)
             count += 1
         rel = float(np.max(np.abs(total / count - full)) / (1.0 + np.max(np.abs(full))))
         ok = rel <= 1e-12
-        ok_all &= _report(lines, ok, f"minibatch-gradients[{kind}]", f"{count} batches, max relative error {rel:.3e}")
+        ok_all &= _report(lines, ok, f"minibatch-gradients[{adapter.kind}]", f"{count} batches, max relative error {rel:.3e}")
     return ok_all
 
 

@@ -11,13 +11,16 @@ inverse operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 COINCIDENCE_EPS = 1e-12
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
+# geometric_quantile solves a cloud with a coordinate above this on a copy
+# scaled down by a power of two, where its squared distances cannot overflow
+LARGE_COORDINATE = 2.0**500
 _FLOAT_EPS = np.finfo(float).eps
 
 
@@ -187,7 +190,10 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
     iterations never increase phi_loss.  Iterates landing on a data point are
     snapped there when the subgradient optimality test passes.  Each iterate's
     distances to the cloud are computed once: the pass that gives its loss
-    also gives the next step's weights and gradient.
+    also gives the next step's weights and gradient.  The quantile is
+    scale-equivariant, so a cloud with a coordinate above LARGE_COORDINATE is
+    solved scaled by 2^-e, with its largest coordinate in [0.5, 1), and its
+    quantile and losses are scaled back by 2^e.
     """
     pts = cloud.points
     n, d = pts.shape
@@ -195,6 +201,12 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
     if u.shape[0] != d:
         raise DimensionMismatchError("geometric_quantile: dimension mismatch")
     _check_index(u, open_ball=True)
+    largest = np.max(np.abs(pts))
+    if largest > LARGE_COORDINATE:
+        e = int(np.frexp(largest)[1])
+        report = geometric_quantile(PointCloud(np.ldexp(pts, -e)), u, track_losses)
+        losses = None if report.loss_history is None else tuple(math.ldexp(loss, e) for loss in report.loss_history)
+        return replace(report, quantile=np.ldexp(report.quantile, e), loss_history=losses)
 
     q = pts.mean(axis=0)
     loss, diff, dist = _loss_at(pts, u, q)

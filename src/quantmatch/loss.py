@@ -100,8 +100,6 @@ class ReferenceSet:
 
     quantiles: np.ndarray       # (R, d) reference points
     target_indices: np.ndarray  # (R, d) indices w.r.t. the source cloud
-    labels: np.ndarray | None = None
-    source_positions: np.ndarray | None = None
 
     def __post_init__(self):
         q = np.asarray(self.quantiles, dtype=float)
@@ -166,15 +164,10 @@ def select_references(
     target_indices = np.empty_like(quantiles)
 
     def index_block(block):
-        target_indices[block] = index_averages(source.points, quantiles[block])[0]
+        target_indices[block] = index_averages(source.points, quantiles[block])
 
     for_each_block(index_block, count, source.points.size)
-    return ReferenceSet(
-        quantiles=quantiles,
-        target_indices=target_indices,
-        labels=None if labels is None else np.asarray(labels)[idx].copy(),
-        source_positions=idx,
-    )
+    return ReferenceSet(quantiles=quantiles, target_indices=target_indices)
 
 
 def h_r(x, z_r) -> np.ndarray:
@@ -297,16 +290,13 @@ def kept_counts(mask: np.ndarray) -> np.ndarray:
     return counts
 
 
-def index_averages(points: np.ndarray, ref_points: np.ndarray):
-    """Per-reference averaged unit vectors from the points toward each reference.
+def index_averages(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
+    """(R, d) per-reference averaged unit vectors from the points toward each reference.
 
-    Returns (avgs, dist, units, mask): avgs is (R, d) with coincident pairs
-    excluded and the mean renormalized by the surviving count; units is the
-    (d, R, m) array of unit_directions.
+    Coincident pairs are excluded and each mean renormalized by the surviving count.
     """
-    units, dist, mask = unit_directions(points, ref_points)
-    avgs = point_sums(units) / kept_counts(mask)[:, None]
-    return avgs, dist, units, mask
+    units, _, mask = unit_directions(points, ref_points)
+    return point_sums(units) / kept_counts(mask)[:, None]
 
 
 def residual_loss(resid: np.ndarray) -> float:
@@ -328,10 +318,10 @@ def quantile_loss_on_points(
     resid = np.empty_like(refs.target_indices)                   # (R, d)
     grads = None
     for block in reference_blocks(refs.count, points.size):
-        avgs, dist, units, mask = index_averages(points, refs.quantiles[block])
-        resid[block] = avgs - refs.target_indices[block]
+        units, dist, mask = unit_directions(points, refs.quantiles[block])
+        counts = kept_counts(mask)
+        resid[block] = point_sums(units) / counts[:, None] - refs.target_indices[block]
         if want_grad:
-            counts = mask.sum(axis=1)
             scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
             scale *= 2.0 / refs.count
             grads = direction_point_grads(units, resid[block], scale, grads)

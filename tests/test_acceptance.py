@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from quantmatch import (
+    Adapter,
     Corruption,
+    FeatureMap,
     PointCloud,
     TrainConfig,
     apply_corruption,
@@ -20,8 +22,6 @@ from quantmatch import (
     finite_diff_grad,
     geometric_quantile,
     initialize_bank,
-    make_adapter,
-    make_feature_map,
     quantile_index,
     select_references,
     six_blobs,
@@ -145,17 +145,23 @@ def test_criterion_4_distribution_equality_null():
 
 def test_criterion_5_pipeline_gradient_correctness():
     rng = SplitMix64.stream("pipeline_grads", 4)
-    adapter_kinds = ("identity", "affine", "mlp1")
-    fmap_kinds = ("identity", "fixed_affine", "fixed_mlp")
+    # each kind's constructor, from the dimension d, the feature dimension k and the trial's seed
+    adapter_kinds = (
+        lambda d, seed: Adapter.identity(d),
+        lambda d, seed: Adapter.affine(d),
+        lambda d, seed: Adapter.mlp1(d, hidden=4, seed=seed),
+    )
+    fmap_kinds = (
+        lambda d, k, seed: FeatureMap.identity(d),
+        lambda d, k, seed: FeatureMap.fixed_affine(d, out_dim=k, seed=seed),
+        lambda d, k, seed: FeatureMap.fixed_mlp(d, out_dim=k, hidden=4, seed=seed),
+    )
     worst = 0.0
     for trial in range(50):
         d = 2 + rng.randbelow(3)
         k = d + rng.randbelow(2)
-        a_kind = adapter_kinds[trial % 3]
-        f_kind = fmap_kinds[(trial // 3) % 3]
-        fmap = make_feature_map(f_kind, d, out_dim=k if f_kind != "identity" else d,
-                                hidden=4, seed=trial)
-        adapter = make_adapter(a_kind, d, hidden=4, seed=trial)
+        fmap = fmap_kinds[(trial // 3) % 3](d, k, trial)
+        adapter = adapter_kinds[trial % 3](d, trial)
         if adapter.n_params:
             adapter = adapter.with_params(adapter.params + 0.2 * rng.normals(adapter.params.shape))
         source = PointCloud(fmap.forward_cloud(rng.normals((14, d))))
@@ -236,7 +242,7 @@ def test_criterion_8_variance_reduction():
     rng = SplitMix64.stream("reduction", 7)
     source = random_cloud(rng, 40, 3)
     refs = select_references(source, 8, seed=8)
-    adapter = make_adapter("affine", 3)
+    adapter = Adapter.affine(3)
     target = rng.normals((64, 3))
     current = PointCloud(adapter.forward_cloud(target))
     perturbed = adapter.with_params(adapter.params + 1e-4 * rng.normals(adapter.params.shape))
@@ -271,14 +277,14 @@ def test_criterion_11_minibatch_parity():
     clean = six_blobs(seed=7)
     target = apply_corruption(clean, Corruption.linear([[1.25, 0.2], [-0.15, 0.9]]))
     target = apply_corruption(target, Corruption.gaussian_noise(0.1), seed=13)
-    fmap = make_feature_map("identity", 2)
+    fmap = FeatureMap.identity(2)
     src = PointCloud(clean.cloud.points)
     finals = []
     for full, bs in ((True, clean.n), (False, 32)):
         cfg = TrainConfig(epochs=400, batch_size=bs, learning_rate=1e-2, momentum=0.9,
                           reference_count=60, seed=5, full_batch=full, snapshot_every=1,
                           wasserstein_every=10**9)
-        _, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg,
+        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg,
                          pairing=target.pairing, source_labels=clean.labels)
         finals.append(trace.records[-1].quantile_loss)
     fb, mb = finals

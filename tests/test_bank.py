@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from quantmatch import (
+    Adapter,
     PointCloud,
     control_variate_estimate,
     enumerate_batches,
     estimator_variance,
     initialize_bank,
-    make_adapter,
     refresh_snapshot,
     select_references,
 )
@@ -108,7 +108,7 @@ class TestRefreshSnapshot:
         # empirical Lipschitz probe: a small adapter step perturbs the
         # snapshot averages by a small amount
         rng, refs, current = make_instance(7, n=40)
-        adapter = make_adapter("affine", 2)
+        adapter = Adapter.affine(2)
         bank = refresh_snapshot(initialize_bank(current, refs), current, refs)
         before = bank.snapshot_avgs.copy()
         step = 1e-2 * rng.normals(adapter.params.shape)
@@ -267,7 +267,7 @@ class TestGradientEquivalence:
         n, d = 8, 2
         source = PointCloud(rng.normals((12, d)))
         refs = select_references(source, 4, seed=9)
-        adapter = make_adapter("affine", d)
+        adapter = Adapter.affine(d)
         adapter = adapter.with_params(adapter.params + 0.05 * rng.normals(adapter.params.shape))
         target = rng.normals((n, d)) + 0.3
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quantmatch.adapters import Adapter
+from quantmatch import cli
 from quantmatch.cli import load_spec, main
 
 TINY_CONFIG = """
@@ -311,6 +312,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS minibatch-gradients[affine]: 56 batches" in out
         assert "PASS minibatch-gradients[mlp1]: 56 batches" in out
+
+    def test_gradients_suite_fails_on_a_wrong_gradient(self, capsys, monkeypatch):
+        # 1% off: the check divides the error by 1 + max |gradient|, and the mlp1 gradient's largest entry is about 0.0125
+        chain = cli._chain_param_grad
+        monkeypatch.setattr(cli, "_chain_param_grad", lambda *args: chain(*args) * (1 + 1e-2))
+        assert main(["verify", "gradients"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL gradients[affine]" in out
+        assert "FAIL gradients[mlp1]" in out
+
+    def test_minibatch_gradients_suite_fails_on_a_wrong_batch_gradient(self, capsys, monkeypatch):
+        grads = cli.minibatch_point_grads
+        monkeypatch.setattr(cli, "minibatch_point_grads", lambda *args: grads(*args) * (1 + 1e-9))
+        assert main(["verify", "minibatch-gradients"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL minibatch-gradients[affine]" in out
+        assert "FAIL minibatch-gradients[mlp1]" in out
 
     @pytest.mark.parametrize(
         "argv, named",

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from quantmatch import (
+    Adapter,
     Corruption,
+    FeatureMap,
     PointCloud,
     TrainConfig,
     apply_corruption,
     enumerate_batches,
     evaluate_epoch,
     initialize_bank,
-    make_adapter,
-    make_feature_map,
     quantile_loss_on_points,
     select_references,
     sgd_step,
@@ -21,7 +21,6 @@ from quantmatch import (
     two_moons,
 )
 from quantmatch import bank as bank_mod, loss as loss_mod, trainer as trainer_mod
-from quantmatch.adapters import Adapter
 from quantmatch.bank import lemma_variance, per_sample_units, population_moments
 from quantmatch.trainer import (
     DIVERGENCE_SPREAD,
@@ -40,7 +39,7 @@ def sixblobs_setup(noise=0.0, seed=7):
     target = apply_corruption(clean, CORRUPTION)
     if noise > 0:
         target = apply_corruption(target, Corruption.gaussian_noise(noise), seed=13)
-    fmap = make_feature_map("identity", 2)
+    fmap = FeatureMap.identity(2)
     return clean, target, PointCloud(clean.cloud.points), fmap
 
 
@@ -61,7 +60,7 @@ def cfg_for(n, **kw):
 
 class TestSgdStep:
     def _adapter(self):
-        return make_adapter("affine", 2)
+        return Adapter.affine(2)
 
     def test_zero_gradient_keeps_parameters(self):
         ad = self._adapter()
@@ -107,7 +106,7 @@ class TestSgdStep:
 class TestTrainBasics:
     def test_no_shift_stays_at_identity(self):
         clean, _, src, fmap = sixblobs_setup()
-        adapter = make_adapter("affine", 2)
+        adapter = Adapter.affine(2)
         cfg = cfg_for(clean.n, epochs=3)
         out, trace = train(src, clean.cloud, adapter, fmap, cfg, pairing=clean.pairing)
         assert trace.records[0].quantile_loss <= 1e-6
@@ -115,7 +114,7 @@ class TestTrainBasics:
 
     def test_config_validation(self):
         clean, target, src, fmap = sixblobs_setup()
-        adapter = make_adapter("affine", 2)
+        adapter = Adapter.affine(2)
         with pytest.raises(ConfigError):
             train(src, target.cloud, adapter, fmap, cfg_for(clean.n, epochs=0))
         with pytest.raises(ConfigError):
@@ -128,7 +127,7 @@ class TestTrainBasics:
     def test_trace_has_one_record_per_epoch_plus_baseline(self):
         clean, target, src, fmap = sixblobs_setup()
         cfg = cfg_for(clean.n, epochs=7)
-        _, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg, pairing=target.pairing)
+        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg, pairing=target.pairing)
         assert [r.epoch for r in trace.records] == list(range(8))
         assert all(r.quantile_loss >= 0 for r in trace.records)
 
@@ -137,7 +136,7 @@ class TestTrainBasics:
         cfg = cfg_for(clean.n, epochs=5, batch_size=64, full_batch=False)
         runs = []
         for _ in range(2):
-            adapter = make_adapter("affine", 2)
+            adapter = Adapter.affine(2)
             out, trace = train(src, target.cloud, adapter, fmap, cfg,
                                pairing=target.pairing, source_labels=clean.labels)
             runs.append((out.params.copy(), [r.quantile_loss for r in trace.records],
@@ -149,14 +148,14 @@ class TestTrainBasics:
     def test_full_batch_descent_is_monotone(self):
         clean, target, src, fmap = sixblobs_setup()
         cfg = cfg_for(clean.n, epochs=120, learning_rate=1e-3, momentum=0.0, wasserstein_every=10**9)
-        _, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg)
+        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg)
         ql = trace.column("quantile_loss")
         assert np.all(ql[1:] <= ql[:-1] + 1e-9)
 
     def test_divergence_stops_at_the_last_record(self):
         clean, target, src, fmap = sixblobs_setup()
         cfg = cfg_for(clean.n, epochs=5, learning_rate=1e6)
-        out, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg, pairing=target.pairing)
+        out, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg, pairing=target.pairing)
         epoch, ratio = trace.divergence
         assert ratio > DIVERGENCE_SPREAD
         assert [r.epoch for r in trace.records] == list(range(epoch))
@@ -167,7 +166,7 @@ class TestTrainBasics:
     def test_target_wider_than_source_is_not_divergence(self):
         clean, _, src, fmap = sixblobs_setup()
         wide = apply_corruption(clean, Corruption.linear([[1e4, 0.0], [0.0, 1e4]]))
-        _, trace = train(src, wide.cloud, make_adapter("affine", 2), fmap, cfg_for(clean.n, epochs=5))
+        _, trace = train(src, wide.cloud, Adapter.affine(2), fmap, cfg_for(clean.n, epochs=5))
         assert trace.divergence is None
         assert len(trace.records) == 6
 
@@ -187,7 +186,7 @@ class TestForwardCount:
 
         monkeypatch.setattr(Adapter, "forward_cloud", counting_forward)
         cfg = cfg_for(clean.n, epochs=3, batch_size=batch_size, full_batch=full_batch)
-        train(src, target.cloud, make_adapter("affine", 2), fmap, cfg, pairing=target.pairing)
+        train(src, target.cloud, Adapter.affine(2), fmap, cfg, pairing=target.pairing)
         assert clean.n == 510
         assert rows.count(clean.n) == cfg.epochs + 1
         assert len(rows) - rows.count(clean.n) == batch_calls
@@ -210,7 +209,7 @@ class TestUnitBuildCount:
         for module in (loss_mod, bank_mod, trainer_mod):
             monkeypatch.setattr(module, "unit_directions", counting_build)
         cfg = cfg_for(clean.n, epochs=3, batch_size=batch_size, full_batch=False, snapshot_every=snapshot_every)
-        train(src, target.cloud, make_adapter("affine", 2), fmap, cfg, pairing=target.pairing)
+        train(src, target.cloud, Adapter.affine(2), fmap, cfg, pairing=target.pairing)
         count, n, records = cfg.reference_count, clean.n, cfg.epochs + 1
         steps = cfg.epochs * -(-n // batch_size)
         # select_references builds the source's pairs once, in one block as every pass here
@@ -222,7 +221,7 @@ class TestTrendBehaviors:
     def test_sixblobs_good_initialization_both_losses_fall(self):
         clean, target, src, fmap = sixblobs_setup()
         cfg = cfg_for(clean.n, epochs=300)
-        _, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg,
+        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg,
                          pairing=target.pairing, source_labels=clean.labels)
         first, last = trace.records[0], trace.records[-1]
         assert last.quantile_loss < 0.2 * first.quantile_loss
@@ -232,8 +231,8 @@ class TestTrendBehaviors:
     def test_twomoons_flip_initialization_mse_stalls(self):
         clean = two_moons(seed=3, n=200, noise_sigma=0.03)
         target = apply_corruption(clean, Corruption.rotation(180.0))
-        fmap = make_feature_map("identity", 2)
-        adapter = make_adapter("affine", 2, init_rotation_deg=45.0)
+        fmap = FeatureMap.identity(2)
+        adapter = Adapter.affine(2, init_rotation_deg=45.0)
         cfg = cfg_for(200, epochs=80, learning_rate=0.5, reference_count=200)
         _, trace = train(PointCloud(clean.cloud.points), target.cloud, adapter, fmap, cfg,
                          pairing=target.pairing, source_labels=clean.labels)
@@ -246,7 +245,7 @@ class TestTrendBehaviors:
         finals = []
         for full, bs in ((True, clean.n), (False, 32)):
             cfg = cfg_for(clean.n, epochs=400, batch_size=bs, full_batch=full, wasserstein_every=10**9)
-            _, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg,
+            _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg,
                              pairing=target.pairing, source_labels=clean.labels)
             finals.append(trace.records[-1].quantile_loss)
         fb, mb = finals
@@ -255,7 +254,7 @@ class TestTrendBehaviors:
     def test_minibatch_variance_columns_populated(self):
         clean, target, src, fmap = sixblobs_setup(noise=0.1)
         cfg = cfg_for(clean.n, epochs=3, batch_size=32, full_batch=False)
-        _, trace = train(src, target.cloud, make_adapter("affine", 2), fmap, cfg)
+        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg)
         rec = trace.records[-1]
         assert rec.crude_var > 0
         assert 0 <= rec.control_var < rec.crude_var
@@ -266,7 +265,7 @@ class TestEvaluateEpoch:
         clean, target, src, fmap = sixblobs_setup()
         refs = select_references(src, 60, seed=5, labels=clean.labels)
         inverse = CORRUPTION.exact_inverse_matrix()
-        adapter = make_adapter("affine", 2)
+        adapter = Adapter.affine(2)
         adapter = adapter.with_params(np.concatenate([inverse.ravel(), np.zeros(2)]))
         adapted = fmap.forward_cloud(adapter.forward_cloud(target.cloud.points))
         rec = evaluate_epoch(adapted, src, refs, pairing=target.pairing)
@@ -291,8 +290,11 @@ class TestEvaluateEpoch:
 
 
 class TestMinibatchGradient:
-    @pytest.mark.parametrize("kind", ["affine", "mlp1"])
-    def test_batch_average_equals_full_batch_at_snapshot(self, kind):
+    @pytest.mark.parametrize(
+        "adapter",
+        [pytest.param(Adapter.affine(2), id="affine"), pytest.param(Adapter.mlp1(2, hidden=5, seed=3), id="mlp1")],
+    )
+    def test_batch_average_equals_full_batch_at_snapshot(self, adapter):
         # at theta = theta_snap every batch's control-variate estimate is the
         # population average, and each point lies in b/n of the batches, so
         # the mean over all C(n, b) batch gradients is the full-batch gradient
@@ -301,8 +303,7 @@ class TestMinibatchGradient:
         source = PointCloud(rng.normals((n, 3)))
         target = rng.normals((n, d)) + 0.5
         refs = select_references(source, 4, seed=1)
-        fmap = make_feature_map("fixed_mlp", d, out_dim=3, seed=2)
-        adapter = make_adapter(kind, d, hidden=5, seed=3)
+        fmap = FeatureMap.fixed_mlp(d, out_dim=3, seed=2)
         adapter = adapter.with_params(adapter.params + 0.1 * rng.normals(adapter.n_params))
 
         def param_grad(x, point_grads_of):
@@ -334,7 +335,7 @@ class TestVarianceColumns:
         # epochs ends at the parameters the longer run holds at epoch j
         clean, target, src, fmap = sixblobs_setup(noise=0.1)
         cfg = cfg_for(clean.n, epochs=4, batch_size=64, full_batch=False, snapshot_every=snapshot_every)
-        adapter = make_adapter("affine", 2)
+        adapter = Adapter.affine(2)
         _, trace = train(src, target.cloud, adapter, fmap, cfg)
         refs = select_references(src, cfg.reference_count, cfg.seed)
 
