@@ -28,11 +28,9 @@ from .loss import (
     select_references,
 )
 from .oracles import (
-    Pairing,
     TransportPlan,
     enumerate_batches,
     finite_diff_grad,
-    identity_pairing,
     paired_mse,
     wasserstein2,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "FeatureMap",
     "LabeledCloud",
     "MemoryBank",
-    "Pairing",
     "PointCloud",
     "ReferenceSet",
     "RunTrace",
@@ -62,7 +59,6 @@ __all__ = [
     "g_r",
     "geometric_quantile",
     "h_r",
-    "identity_pairing",
     "initialize_bank",
     "paired_mse",
     "phi",

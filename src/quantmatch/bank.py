@@ -21,7 +21,6 @@ from .loss import (
     for_each_block,
     kept_counts,
     plane_dot,
-    point_major,
     point_sums,
     residual_loss,
     row_sums,
@@ -48,13 +47,16 @@ class MemoryBank:
         """An unfilled bank for n points and `count` references; the first refreshing sweep fills it."""
         return cls(snapshot_units=np.empty((dim, n, count)), snapshot_avgs=np.empty((count, dim)))
 
+    def batch_mean(self, batch: np.ndarray) -> np.ndarray:
+        """(R, d) mean of the snapshot units of the points `batch`, whole rows added in batch order."""
+        return row_sums(self.snapshot_units[:, batch]) / len(batch)
+
 
 class Sweep(NamedTuple):
     """What one pass over the references at the current parameters gives."""
 
     loss: float            # quantile_loss_on_points' loss, bit for bit
     moments: tuple | None  # population_moments of the current units against the outgoing snapshot
-    avgs: np.ndarray       # (R, d) means of the current units over all n points
 
 
 def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
@@ -101,7 +103,7 @@ def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bo
     for_each_block(sweep_block, refs.count, adapted.points.size)
     if refresh:
         bank.snapshot_avgs = avgs
-    return Sweep(residual_loss(resid), None if out is None else tuple(out), avgs)
+    return Sweep(residual_loss(resid), None if out is None else tuple(out))
 
 
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
@@ -195,17 +197,17 @@ def estimator_variance(
         raise ValueError(f"monte_carlo mode needs draws >= 1, got {draws}")
 
     bank = initialize_bank(adapted_snap, refs)
-    _, (_, sigma_s2, sigma_as), a_mean = sweep(bank, adapted_t, refs)
-    # the batch means below need every current unit at once, point-major as in the bank
-    a_units = point_major(per_sample_units(adapted_t.points, refs.quantiles))
-    s_units = bank.snapshot_units
+    _, (_, sigma_s2, sigma_as) = sweep(bank, adapted_t, refs)
+    # the batch means below need every current unit at once: a second bank holds them
+    current = initialize_bank(adapted_t, refs)
+    a_mean = current.snapshot_avgs
 
     crude_sq = 0.0
     control_sq = 0.0
     count = 0
     for batch in _batch_iter(n, b, mode, draws, seed):
-        a_hat = row_sums(a_units[:, batch]) / b
-        s_hat = row_sums(s_units[:, batch]) / b
+        a_hat = current.batch_mean(batch)
+        s_hat = bank.batch_mean(batch)
         crude_sq += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
         est = control_variate_estimate(bank, a_hat, s_hat)
         control_sq += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))

@@ -1,4 +1,7 @@
-"""Seeded toy datasets and corruption operators with identity pairings.
+"""Seeded toy datasets and pointwise corruption operators.
+
+A corrupted cloud keeps the clean cloud's rows: its row i is the clean
+row i corrupted, as in corrupted copies of a test set.
 
 Defaults for the six-blobs geometry (hexagon means, per-class covariance
 scales, per-class counts) live here; the underlying experiments prescribe
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DimensionMismatchError, PointCloud
-from .oracles import Pairing, identity_pairing
 from .rng import SplitMix64
 
 # per-class counts kept within 80-120 and summing to 510 so exact transport
@@ -31,11 +33,10 @@ class SingularCorruptionError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledCloud:
-    """Cloud with per-point class ids and an identity pairing to its twin."""
+    """Cloud with per-point class ids."""
 
     cloud: PointCloud
     labels: np.ndarray
-    pairing: Pairing
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
@@ -111,7 +112,7 @@ def six_blobs(seed: int = 0, counts=SIX_BLOBS_COUNTS) -> LabeledCloud:
         labels.extend([cls] * count)
 
     cloud = PointCloud(np.concatenate(points, axis=0))
-    return LabeledCloud(cloud=cloud, labels=np.asarray(labels), pairing=identity_pairing(cloud.n))
+    return LabeledCloud(cloud=cloud, labels=np.asarray(labels))
 
 
 def two_moons(seed: int = 0, n: int = 200, noise_sigma: float = 0.05) -> LabeledCloud:
@@ -130,11 +131,11 @@ def two_moons(seed: int = 0, n: int = 200, noise_sigma: float = 0.05) -> Labeled
         rng = SplitMix64.stream("two_moons", seed)
         points = points + noise_sigma * rng.normals(points.shape)
     labels = np.concatenate([np.zeros(half, dtype=int), np.ones(half, dtype=int)])
-    return LabeledCloud(cloud=PointCloud(points), labels=labels, pairing=identity_pairing(n))
+    return LabeledCloud(cloud=PointCloud(points), labels=labels)
 
 
 def apply_corruption(clean: LabeledCloud, corruption: Corruption, seed: int = 0) -> LabeledCloud:
-    """Corrupt a cloud pointwise; indices, labels, and pairing are preserved."""
+    """Corrupt a cloud pointwise; row i of the result is the clean row i corrupted, with its label."""
     pts = clean.cloud.points
     if corruption.matrix is not None:
         if corruption.matrix.shape[0] != pts.shape[1]:
@@ -149,7 +150,7 @@ def apply_corruption(clean: LabeledCloud, corruption: Corruption, seed: int = 0)
         out = pts + corruption.sigma * rng.normals(pts.shape)
     else:
         raise ValueError(f"unknown corruption kind {corruption.kind!r}")
-    return LabeledCloud(cloud=PointCloud(out), labels=clean.labels.copy(), pairing=Pairing(clean.pairing.target_to_source.copy()))
+    return LabeledCloud(cloud=PointCloud(out), labels=clean.labels.copy())
 
 
 def cloud_to_csv(labeled: LabeledCloud, path) -> None:

@@ -226,11 +226,6 @@ def unit_directions(points: np.ndarray, ref_points: np.ndarray):
     return units, dist, mask
 
 
-def point_major(units: np.ndarray) -> np.ndarray:
-    """A contiguous (d, m, R) copy of (d, R, m) unit planes: one row of R unit-vector coordinates per point."""
-    return np.ascontiguousarray(units.transpose(0, 2, 1))
-
-
 def row_sums(rows: np.ndarray) -> np.ndarray:
     """(R, d) sums over the points of point-major (d, m, R) units, added in point order.
 
@@ -245,8 +240,11 @@ def row_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def point_sums(units: np.ndarray) -> np.ndarray:
-    """(R, d) sums of the (d, R, m) unit planes over the points, added in point order."""
-    return row_sums(point_major(units))
+    """(R, d) sums of the (d, R, m) unit planes over the points, added in point order.
+
+    The planes are copied point-major, to (d, m, R), for row_sums.
+    """
+    return row_sums(np.ascontiguousarray(units.transpose(0, 2, 1)))
 
 
 def direction_point_grads(

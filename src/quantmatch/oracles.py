@@ -29,28 +29,6 @@ def _points(cloud) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Pairing:
-    """Index map from one cloud into another; bijective at equal sizes."""
-
-    target_to_source: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.target_to_source, dtype=int)
-        if idx.ndim != 1:
-            raise ValueError("pairing must be a flat index array")
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("pairing must be injective")
-        object.__setattr__(self, "target_to_source", idx)
-
-    def __len__(self) -> int:
-        return len(self.target_to_source)
-
-
-def identity_pairing(n: int) -> Pairing:
-    return Pairing(np.arange(n))
-
-
-@dataclass(frozen=True)
 class TransportPlan:
     """Minimum-cost perfect matching; cost is mean squared matched distance."""
 
@@ -79,15 +57,12 @@ def wasserstein2(a, b) -> TransportPlan:
     return TransportPlan(assignment=assignment, cost=cost)
 
 
-def paired_mse(a, b, pairing: Pairing) -> float:
-    """Mean squared distance between a[i] and b[pairing[i]]."""
+def paired_mse(a, b) -> float:
+    """Mean squared distance between a[i] and b[i], over the rows."""
     pa, pb = _points(a), _points(b)
-    idx = pairing.target_to_source
-    if len(idx) != pa.shape[0]:
-        raise ValueError("pairing must cover the first cloud")
-    if idx.min() < 0 or idx.max() >= pb.shape[0]:
-        raise ValueError("pairing index out of range")
-    return float(np.mean(np.sum((pa - pb[idx]) ** 2, axis=1)))
+    if pa.shape != pb.shape:
+        raise DimensionMismatchError(f"paired_mse: clouds of shapes {pa.shape} and {pb.shape}")
+    return float(np.mean(np.sum((pa - pb) ** 2, axis=1)))
 
 
 def finite_diff_grad(fn: Callable[[np.ndarray], float], theta) -> np.ndarray:

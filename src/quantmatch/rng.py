@@ -24,7 +24,7 @@ def _fnv1a64(data: bytes) -> int:
 
 
 class SplitMix64:
-    """64-bit SplitMix64 PRNG with uniform, normal, and shuffle helpers."""
+    """64-bit SplitMix64 PRNG with uniform, normal, and permutation helpers."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
@@ -76,15 +76,12 @@ class SplitMix64:
             if r < bound:
                 return r % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
+    def permutation(self, n: int) -> list[int]:
+        """range(n) shuffled by Fisher-Yates."""
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list[int]:
-        items = list(range(n))
-        self.shuffle(items)
         return items
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:

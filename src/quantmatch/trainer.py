@@ -34,11 +34,10 @@ from .loss import (
     direction_point_grads,
     point_sums,
     quantile_loss_on_points,
-    row_sums,
     select_references,
     unit_directions,
 )
-from .oracles import MAX_EXACT_SIZE, Pairing, paired_mse, wasserstein2
+from .oracles import MAX_EXACT_SIZE, paired_mse, wasserstein2
 from .rng import SplitMix64
 
 TRACE_COLUMNS = (
@@ -193,7 +192,7 @@ def minibatch_point_grads(
     """
     b = yb.shape[0]
     units, dist, mask = unit_directions(yb, refs.quantiles)           # (d, R, b)
-    estimate = control_variate_estimate(bank, point_sums(units) / b, row_sums(bank.snapshot_units[:, batch]) / b)
+    estimate = control_variate_estimate(bank, point_sums(units) / b, bank.batch_mean(batch))
     resid = estimate - refs.target_indices                             # (R, d)
     scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
     return direction_point_grads(units, resid, scale)
@@ -203,21 +202,20 @@ def evaluate_epoch(
     adapted: np.ndarray,
     source_feats: PointCloud,
     refs: ReferenceSet,
-    pairing: Pairing | None = None,
+    paired: bool = False,
     epoch: int = 0,
     compute_wasserstein: bool = True,
     loss: float | None = None,
 ) -> EpochRecord:
     """Full-data metrics of the adapted (n, d) cloud; the Wasserstein oracle runs on cadence.
 
+    With `paired`, the paired MSE compares adapted row i with source row i.
     `loss`, when given, is the quantile loss at `adapted`, as the bank's sweep computes it.
     """
     if loss is None:
         loss, _ = quantile_loss_on_points(adapted, refs, want_grad=False)
 
-    mse = None
-    if pairing is not None:
-        mse = paired_mse(adapted, source_feats.points, pairing)
+    mse = paired_mse(adapted, source_feats.points) if paired else None
 
     w2 = None
     flag = ""
@@ -242,7 +240,7 @@ def train(
     adapter: Adapter,
     fmap: FeatureMap,
     cfg: TrainConfig,
-    pairing: Pairing | None = None,
+    paired: bool = False,
     source_labels=None,
 ) -> tuple[Adapter, RunTrace]:
     """Run quantile matching and return the adapter plus the per-epoch trace.
@@ -254,6 +252,8 @@ def train(
     non-finite or spreads more than DIVERGENCE_SPREAD times wider than the
     source features (or the starting cloud, if wider) gets no record: the
     run stops, sets `trace.divergence` and returns the last record's adapter.
+    Pass `paired` when target row i is the corrupted source row i; each
+    record then carries their paired MSE.
     """
     cfg.validate(source_feats.n, target.n)
     if fmap.out_dim != source_feats.dim:
@@ -325,7 +325,7 @@ def train(
             adapted,
             source_feats,
             refs,
-            pairing,
+            paired,
             epoch=epoch,
             compute_wasserstein=on_cadence,
             loss=None if swept is None else swept.loss,

@@ -285,7 +285,7 @@ def test_criterion_11_minibatch_parity():
                           reference_count=60, seed=5, full_batch=full, snapshot_every=1,
                           wasserstein_every=10**9)
         _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg,
-                         pairing=target.pairing, source_labels=clean.labels)
+                         paired=True, source_labels=clean.labels)
         finals.append(trace.records[-1].quantile_loss)
     fb, mb = finals
     gap = abs(mb - fb) / fb

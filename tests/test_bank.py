@@ -233,10 +233,13 @@ class TestEstimatorVariance:
         def no_units(*args):
             raise AssertionError("unit planes built before the arguments were checked")
 
-        monkeypatch.setattr("quantmatch.bank.per_sample_units", no_units)
+        monkeypatch.setattr("quantmatch.bank.unit_directions", no_units)
         for kwargs in ({"mode": "monte_carlo", "draws": 0}, {"mode": "monte_carlo", "draws": -5}, {"mode": "sampled"}):
             with pytest.raises(ValueError):
                 estimator_variance(current, current, refs, b=3, **kwargs)
+        # the patch point is live: valid arguments reach it
+        with pytest.raises(AssertionError, match="unit planes built"):
+            estimator_variance(current, current, refs, b=3, mode="monte_carlo", draws=1)
 
     def test_cloud_dimension_must_match_references(self):
         _, refs, current = make_instance(19, n=8)

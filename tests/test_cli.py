@@ -314,13 +314,22 @@ class TestVerify:
         assert "PASS minibatch-gradients[mlp1]: 56 batches" in out
 
     def test_gradients_suite_fails_on_a_wrong_gradient(self, capsys, monkeypatch):
-        # 1% off: the check divides the error by 1 + max |gradient|, and the mlp1 gradient's largest entry is about 0.0125
+        # 0.1% off: the check divides the error by max |numeric gradient|
         chain = cli._chain_param_grad
-        monkeypatch.setattr(cli, "_chain_param_grad", lambda *args: chain(*args) * (1 + 1e-2))
+        monkeypatch.setattr(cli, "_chain_param_grad", lambda *args: chain(*args) * (1 + 1e-3))
         assert main(["verify", "gradients"]) == 1
         out = capsys.readouterr().out
         assert "FAIL gradients[affine]" in out
         assert "FAIL gradients[mlp1]" in out
+
+    def test_gradients_suite_fails_on_an_all_zero_numeric_gradient(self, capsys, monkeypatch):
+        # zero analytic and numeric gradients agree, but check nothing
+        monkeypatch.setattr(cli, "_chain_param_grad", lambda adapter, *args: np.zeros(adapter.n_params))
+        monkeypatch.setattr(cli.oracles, "finite_diff_grad", lambda fn, theta: np.zeros_like(theta))
+        assert main(["verify", "gradients"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL gradients[affine]: max relative error inf" in out
+        assert "FAIL gradients[mlp1]: max relative error inf" in out
 
     def test_minibatch_gradients_suite_fails_on_a_wrong_batch_gradient(self, capsys, monkeypatch):
         grads = cli.minibatch_point_grads

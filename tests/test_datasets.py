@@ -91,21 +91,20 @@ class TestApplyCorruption:
         data = six_blobs(seed=2)
         c = np.array([1.5, -2.0])
         shifted = apply_corruption(data, Corruption.shift(c))
-        got = paired_mse(shifted.cloud.points, data.cloud.points, data.pairing)
+        got = paired_mse(shifted.cloud.points, data.cloud.points)
         assert got == pytest.approx(float(np.sum(c**2)), abs=1e-12)
 
     def test_gaussian_noise_moment(self):
         data = two_moons(seed=9, n=2000, noise_sigma=0.05)
         sigma = 0.7
         noisy = apply_corruption(data, Corruption.gaussian_noise(sigma), seed=4)
-        got = paired_mse(noisy.cloud.points, data.cloud.points, data.pairing)
+        got = paired_mse(noisy.cloud.points, data.cloud.points)
         assert got == pytest.approx(2 * sigma**2, rel=0.10)
 
-    def test_pairing_and_labels_preserved(self):
+    def test_labels_preserved(self):
         data = six_blobs(seed=6)
         corrupted = apply_corruption(data, Corruption.linear([[1.2, 0.1], [0.0, 0.9]]))
         np.testing.assert_array_equal(corrupted.labels, data.labels)
-        np.testing.assert_array_equal(corrupted.pairing.target_to_source, np.arange(data.n))
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularCorruptionError):

@@ -410,8 +410,8 @@ def blocked_outputs(points, refs, snapshot):
             ("snapshot_units", bank.snapshot_units.copy()),
             ("snapshot_avgs", bank.snapshot_avgs),
         ]
-        _, moments, avgs = sweep(bank, cloud, refs)
-        outs += [("moments", np.array(moments)), ("current_avgs", avgs), ("variances", _variance_sample(moments, 1, m))]
+        moments = sweep(bank, cloud, refs).moments
+        outs += [("moments", np.array(moments)), ("variances", _variance_sample(moments, 1, m))]
         refreshed = sweep(bank, cloud, refs, refresh=True).moments
         outs += [
             ("refresh_moments", np.array(refreshed)),
@@ -576,7 +576,6 @@ class TestThreadedBlocks:
             refs.target_indices.tobytes(),
             swept.loss.hex(),
             np.asarray(swept.moments).tobytes(),
-            swept.avgs.tobytes(),
             hashlib.sha256(bank.snapshot_units).hexdigest(),
             bank.snapshot_avgs.tobytes(),
         )

@@ -8,11 +8,10 @@ from quantmatch import (
     PointCloud,
     enumerate_batches,
     finite_diff_grad,
-    identity_pairing,
     paired_mse,
     wasserstein2,
 )
-from quantmatch.oracles import Pairing
+from quantmatch.geometry import DimensionMismatchError
 from quantmatch.rng import SplitMix64
 
 
@@ -89,25 +88,27 @@ class TestPairedMse:
     def test_zero_under_identity(self):
         rng = SplitMix64.stream("mse0", 0)
         pts = rng.normals((15, 3))
-        assert paired_mse(pts, pts, identity_pairing(15)) == 0.0
+        assert paired_mse(pts, pts) == 0.0
 
     def test_unit_shift(self):
         rng = SplitMix64.stream("mse1", 1)
         pts = rng.normals((15, 4))
         shifted = pts + np.array([0.5, 0.5, 0.5, 0.5])
-        assert paired_mse(shifted, pts, identity_pairing(15)) == pytest.approx(1.0, abs=1e-12)
+        assert paired_mse(shifted, pts) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_hand_loop(self):
         rng = SplitMix64.stream("mse2", 2)
-        a, b = rng.normals((10, 3)), rng.normals((12, 3))
-        idx = np.asarray(rng.sample_without_replacement(12, 10))
-        got = paired_mse(a, b, Pairing(idx))
-        want = sum(float(np.sum((a[i] - b[idx[i]]) ** 2)) for i in range(10)) / 10
+        a, b = rng.normals((10, 3)), rng.normals((10, 3))
+        got = paired_mse(PointCloud(a), b)
+        want = sum(float(np.sum((a[i] - b[i]) ** 2)) for i in range(10)) / 10
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_rejects_non_injective(self):
-        with pytest.raises(ValueError):
-            Pairing(np.array([0, 0, 1]))
+    def test_rejects_shape_mismatch(self):
+        rng = SplitMix64.stream("mse3", 3)
+        pts = rng.normals((10, 3))
+        for other in (pts[:9], pts[:, :2]):
+            with pytest.raises(DimensionMismatchError):
+                paired_mse(pts, other)
 
 
 class TestFiniteDiff:

@@ -108,7 +108,7 @@ class TestTrainBasics:
         clean, _, src, fmap = sixblobs_setup()
         adapter = Adapter.affine(2)
         cfg = cfg_for(clean.n, epochs=3)
-        out, trace = train(src, clean.cloud, adapter, fmap, cfg, pairing=clean.pairing)
+        out, trace = train(src, clean.cloud, adapter, fmap, cfg, paired=True)
         assert trace.records[0].quantile_loss <= 1e-6
         np.testing.assert_allclose(out.params, adapter.params, atol=cfg.learning_rate * 1e-8)
 
@@ -127,7 +127,7 @@ class TestTrainBasics:
     def test_trace_has_one_record_per_epoch_plus_baseline(self):
         clean, target, src, fmap = sixblobs_setup()
         cfg = cfg_for(clean.n, epochs=7)
-        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg, pairing=target.pairing)
+        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg, paired=True)
         assert [r.epoch for r in trace.records] == list(range(8))
         assert all(r.quantile_loss >= 0 for r in trace.records)
 
@@ -138,7 +138,7 @@ class TestTrainBasics:
         for _ in range(2):
             adapter = Adapter.affine(2)
             out, trace = train(src, target.cloud, adapter, fmap, cfg,
-                               pairing=target.pairing, source_labels=clean.labels)
+                               paired=True, source_labels=clean.labels)
             runs.append((out.params.copy(), [r.quantile_loss for r in trace.records],
                          [r.grad_norm for r in trace.records]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
@@ -155,7 +155,7 @@ class TestTrainBasics:
     def test_divergence_stops_at_the_last_record(self):
         clean, target, src, fmap = sixblobs_setup()
         cfg = cfg_for(clean.n, epochs=5, learning_rate=1e6)
-        out, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg, pairing=target.pairing)
+        out, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg, paired=True)
         epoch, ratio = trace.divergence
         assert ratio > DIVERGENCE_SPREAD
         assert [r.epoch for r in trace.records] == list(range(epoch))
@@ -186,7 +186,7 @@ class TestForwardCount:
 
         monkeypatch.setattr(Adapter, "forward_cloud", counting_forward)
         cfg = cfg_for(clean.n, epochs=3, batch_size=batch_size, full_batch=full_batch)
-        train(src, target.cloud, Adapter.affine(2), fmap, cfg, pairing=target.pairing)
+        train(src, target.cloud, Adapter.affine(2), fmap, cfg, paired=True)
         assert clean.n == 510
         assert rows.count(clean.n) == cfg.epochs + 1
         assert len(rows) - rows.count(clean.n) == batch_calls
@@ -209,7 +209,7 @@ class TestUnitBuildCount:
         for module in (loss_mod, bank_mod, trainer_mod):
             monkeypatch.setattr(module, "unit_directions", counting_build)
         cfg = cfg_for(clean.n, epochs=3, batch_size=batch_size, full_batch=False, snapshot_every=snapshot_every)
-        train(src, target.cloud, Adapter.affine(2), fmap, cfg, pairing=target.pairing)
+        train(src, target.cloud, Adapter.affine(2), fmap, cfg, paired=True)
         count, n, records = cfg.reference_count, clean.n, cfg.epochs + 1
         steps = cfg.epochs * -(-n // batch_size)
         # select_references builds the source's pairs once, in one block as every pass here
@@ -222,7 +222,7 @@ class TestTrendBehaviors:
         clean, target, src, fmap = sixblobs_setup()
         cfg = cfg_for(clean.n, epochs=300)
         _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg,
-                         pairing=target.pairing, source_labels=clean.labels)
+                         paired=True, source_labels=clean.labels)
         first, last = trace.records[0], trace.records[-1]
         assert last.quantile_loss < 0.2 * first.quantile_loss
         assert last.paired_mse < 0.2 * first.paired_mse
@@ -235,7 +235,7 @@ class TestTrendBehaviors:
         adapter = Adapter.affine(2, init_rotation_deg=45.0)
         cfg = cfg_for(200, epochs=80, learning_rate=0.5, reference_count=200)
         _, trace = train(PointCloud(clean.cloud.points), target.cloud, adapter, fmap, cfg,
-                         pairing=target.pairing, source_labels=clean.labels)
+                         paired=True, source_labels=clean.labels)
         first, last = trace.records[0], trace.records[-1]
         assert last.quantile_loss < 0.5 * first.quantile_loss
         assert last.paired_mse > 0.9 * first.paired_mse  # conditionals swapped, MSE cannot recover
@@ -246,7 +246,7 @@ class TestTrendBehaviors:
         for full, bs in ((True, clean.n), (False, 32)):
             cfg = cfg_for(clean.n, epochs=400, batch_size=bs, full_batch=full, wasserstein_every=10**9)
             _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg,
-                             pairing=target.pairing, source_labels=clean.labels)
+                             paired=True, source_labels=clean.labels)
             finals.append(trace.records[-1].quantile_loss)
         fb, mb = finals
         assert abs(mb - fb) <= 0.2 * fb
@@ -268,7 +268,7 @@ class TestEvaluateEpoch:
         adapter = Adapter.affine(2)
         adapter = adapter.with_params(np.concatenate([inverse.ravel(), np.zeros(2)]))
         adapted = fmap.forward_cloud(adapter.forward_cloud(target.cloud.points))
-        rec = evaluate_epoch(adapted, src, refs, pairing=target.pairing)
+        rec = evaluate_epoch(adapted, src, refs, paired=True)
         assert rec.paired_mse == pytest.approx(0.0, abs=1e-18)
         assert rec.quantile_loss == pytest.approx(0.0, abs=1e-18)
         assert rec.wasserstein2 == pytest.approx(0.0, abs=1e-9)
@@ -276,7 +276,7 @@ class TestEvaluateEpoch:
     def test_identity_on_shifted_data_all_positive(self):
         clean, target, src, fmap = sixblobs_setup()
         refs = select_references(src, 60, seed=5)
-        rec = evaluate_epoch(target.cloud.points, src, refs, pairing=target.pairing)
+        rec = evaluate_epoch(target.cloud.points, src, refs, paired=True)
         assert rec.quantile_loss > 0
         assert rec.paired_mse > 0
         assert rec.wasserstein2 > 0
