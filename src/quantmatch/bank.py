@@ -47,9 +47,12 @@ class MemoryBank:
         """An unfilled bank for n points and `count` references; the first refreshing sweep fills it."""
         return cls(snapshot_units=np.empty((dim, n, count)), snapshot_avgs=np.empty((count, dim)))
 
-    def batch_mean(self, batch: np.ndarray) -> np.ndarray:
-        """(R, d) mean of the snapshot units of the points `batch`, whole rows added in batch order."""
-        return row_sums(self.snapshot_units[:, batch]) / len(batch)
+    def batch_mean(self, batch: np.ndarray, block: slice = slice(None)) -> np.ndarray:
+        """(R, d) mean of the snapshot units of the points `batch`, rows added in batch order.
+
+        With a block of references, only those references' means, (len(block), d).
+        """
+        return row_sums(self.snapshot_units[:, batch, block]) / len(batch)
 
 
 class Sweep(NamedTuple):

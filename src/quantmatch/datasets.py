@@ -154,11 +154,14 @@ def apply_corruption(clean: LabeledCloud, corruption: Corruption, seed: int = 0)
 
 
 def cloud_to_csv(labeled: LabeledCloud, path) -> None:
-    """Write rows of (class, x1..xd)."""
-    import csv
+    """Write rows of (class, x1..xd), the bytes csv.writer writes: no field needs quoting, lines end in CRLF.
 
+    Rows are converted one at a time, so no list copy of the whole cloud is held.
+    """
+    header = ",".join(["class"] + [f"x{i + 1}" for i in range(labeled.cloud.dim)])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class"] + [f"x{i + 1}" for i in range(labeled.cloud.dim)])
-        for label, row in zip(labeled.labels, labeled.cloud.points):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        fh.write(header + "\r\n")
+        fh.writelines(
+            f"{label}," + ",".join(map(repr, row.tolist())) + "\r\n"
+            for label, row in zip(labeled.labels.tolist(), labeled.cloud.points)
+        )

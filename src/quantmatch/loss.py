@@ -24,23 +24,26 @@ from .geometry import (
 )
 from .rng import SplitMix64
 
-# Reference selection, the loss and the bank run over blocks of references
-# whose (d, R, m) unit planes take at most BLOCK_BYTES, with at least
-# MIN_BLOCK_REFS references each (one reference alone takes row_sums'
-# cumsum path).  Each reference's arithmetic is the same in any block, so the
-# outputs do not depend on the block size.  Reference selection and the
-# bank's sweep share their blocks between THREADS threads (for_each_block),
-# with blocks of BLOCK_BYTES // THREADS, so the bytes in flight stay within
-# one BLOCK_BYTES.
+# Reference selection, the loss and the bank's sweep run over blocks of
+# references, and the minibatch step over blocks of the batch's points, whose
+# (d, R, m) unit planes take at most BLOCK_BYTES, with at least MIN_BLOCK_REFS
+# references or points each (one reference alone takes row_sums' cumsum path,
+# one point alone direction_point_grads' m == 1 path).  Each reference's and
+# each point's arithmetic is the same in any block, so the outputs do not
+# depend on the block size.  Reference selection, the sweep and the step share
+# their blocks between THREADS threads (for_each_block), with blocks of
+# BLOCK_BYTES // THREADS, so the bytes in flight stay within one BLOCK_BYTES.
 BLOCK_BYTES = 4 << 20
 MIN_BLOCK_REFS = 2
 THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
 def reference_blocks(count: int, plane_size: int, budget: int | None = None) -> list[slice]:
-    """Consecutive slices of `count` references, against a cloud of plane_size = m * d values.
+    """Consecutive slices of `count` items, references or points, each against plane_size values.
 
-    Each block's unit planes take at most `budget` bytes (BLOCK_BYTES when not given).
+    plane_size is m * d for references against m points, and R * d for
+    points against R references.  Each block's unit planes take at most
+    `budget` bytes (BLOCK_BYTES when not given).
     """
     budget = BLOCK_BYTES if budget is None else budget
     size = max(MIN_BLOCK_REFS, budget // (8 * max(plane_size, 1)))
@@ -48,7 +51,9 @@ def reference_blocks(count: int, plane_size: int, budget: int | None = None) -> 
 
 
 def for_each_block(fn, count: int, plane_size: int) -> None:
-    """Call fn(block) on every reference block of reference_blocks(count, plane_size), on up to THREADS threads.
+    """Call fn(block) on every block of reference_blocks(count, plane_size), on up to THREADS threads.
+
+    The blocks cut references or points, whichever `count` counts.
 
     fn must write only its own block's slices of its outputs; then the
     outputs do not depend on which thread ran a block, or when.  With one
@@ -261,13 +266,16 @@ def direction_point_grads(
     Works one (R, m) coordinate plane at a time; returns an (m, d) array.
     `previous`, this function's result for the earlier reference blocks, is
     carried on: its sums head this block's terms, so the references are still
-    added one after another, as in a single block.
+    added one after another, as in a single block.  Each point's row depends
+    only on that point's units and scale, so blocks of points give the rows of
+    the whole batch.
     """
     d, _, m = units.shape
     dots = plane_dot(units, resid.T[:, :, None])                 # (R, m)
     terms = ((resid[:, k, None] - plane * dots) * scale for k, plane in enumerate(units))
     if m == 1:
-        # numpy adds a lone (R, 1) column pairwise, but an (R, d) block row by row
+        # numpy adds a lone (R, 1) column pairwise, but an (R, d) block row by row;
+        # at d = 1 every term is a zero (the projection off a 1-D unit vector vanishes)
         block = np.hstack(list(terms))
         if previous is not None:
             block = np.vstack((-previous, block))

@@ -76,11 +76,33 @@ class SplitMix64:
             if r < bound:
                 return r % n
 
+    def _draws_below(self, moduli: np.ndarray) -> list[int]:
+        """[self.randbelow(m) for m in moduli]: the same integers and the same final state.
+
+        The state is a counter, so the next outputs are mixed as one numpy
+        uint64 block.  Rejection (probability below m / 2**64 a draw) is
+        checked on the whole block; from the first rejected draw on, the
+        scalar randbelow takes over at that draw's state.
+        """
+        moduli = np.asarray(moduli, dtype=np.uint64)
+        start = self._state
+        z = np.uint64(start) + np.arange(1, moduli.size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> 31
+        # r < 2**64 - (2**64 mod m), with 2**64 mod m = (MASK64 mod m + 1) mod m
+        mask = np.uint64(_MASK64)
+        accepted = z <= mask - (mask % moduli + 1) % moduli
+        kept = moduli.size if accepted.all() else int(accepted.argmin())
+        draws = (z[:kept] % moduli[:kept]).tolist()
+        self._state = (start + kept * _GOLDEN) & _MASK64
+        draws.extend(self.randbelow(m) for m in moduli[kept:].tolist())
+        return draws
+
     def permutation(self, n: int) -> list[int]:
         """range(n) shuffled by Fisher-Yates."""
         items = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        for i, j in zip(range(n - 1, 0, -1), self._draws_below(np.arange(n, 1, -1))):
             items[i], items[j] = items[j], items[i]
         return items
 
@@ -89,7 +111,7 @@ class SplitMix64:
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} from {n}")
         items = list(range(n))
-        for i in range(k):
-            j = i + self.randbelow(n - i)
+        for i, j in zip(range(k), self._draws_below(np.arange(n, n - k, -1))):
+            j += i
             items[i], items[j] = items[j], items[i]
         return items[:k]

@@ -32,8 +32,9 @@ from .geometry import PointCloud
 from .loss import (
     ReferenceSet,
     direction_point_grads,
-    point_sums,
+    for_each_block,
     quantile_loss_on_points,
+    row_sums,
     select_references,
     unit_directions,
 )
@@ -189,13 +190,43 @@ def minibatch_point_grads(
     whose indices are `batch`; their snapshot units are the bank's rows `batch`.
     estimate_r is the control-variate estimate of the population average, so
     only yb's own units carry gradient.
+
+    Three passes run through for_each_block.  The first builds the units of
+    each block of the batch's points and writes them into one point-major
+    array.  The second adds the batch means, in point order, over blocks of
+    references.  The calling thread then makes the estimate, and the third
+    pass takes the gradient rows of each point block.  Every block writes
+    only its own rows, so the bits do not depend on the blocks or the threads.
     """
-    b = yb.shape[0]
-    units, dist, mask = unit_directions(yb, refs.quantiles)           # (d, R, b)
-    estimate = control_variate_estimate(bank, point_sums(units) / b, bank.batch_mean(batch))
+    b, d = yb.shape
+    rows = np.empty((d, b, refs.count))                                # the batch's units, point-major
+    planes = {}                                                        # block start -> (units, dist, mask)
+
+    def directions(block):
+        units, dist, mask = unit_directions(yb[block], refs.quantiles)
+        rows[:, block] = units.transpose(0, 2, 1)
+        planes[block.start] = units, dist, mask
+
+    for_each_block(directions, b, refs.count * d)
+    current = np.empty_like(refs.target_indices)                       # (R, d) batch means, at theta
+    snapshot = np.empty_like(refs.target_indices)                      # and at theta_snap
+
+    def batch_means(block):
+        current[block] = row_sums(rows[:, :, block]) / b
+        snapshot[block] = bank.batch_mean(batch, block)
+
+    for_each_block(batch_means, refs.count, b * d)
+    estimate = control_variate_estimate(bank, current, snapshot)
     resid = estimate - refs.target_indices                             # (R, d)
-    scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
-    return direction_point_grads(units, resid, scale)
+    grads = np.empty((b, d))
+
+    def gradients(block):
+        units, dist, mask = planes[block.start]
+        scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
+        grads[block] = direction_point_grads(units, resid, scale)
+
+    for_each_block(gradients, b, refs.count * d)
+    return grads
 
 
 def evaluate_epoch(
@@ -287,9 +318,9 @@ def train(
             except NonFiniteGradientError:
                 flag = "nonfinite_grad"
         elif epoch > 0:
-            order = rng.permutation(n)
+            order = np.asarray(rng.permutation(n), dtype=int)
             for start in range(0, n, cfg.batch_size):
-                batch = np.asarray(order[start : start + cfg.batch_size], dtype=int)
+                batch = order[start : start + cfg.batch_size]
                 xb = target.points[batch]
                 tb = adapter.forward_cloud(xb)
                 yb = fmap.forward_cloud(tb)

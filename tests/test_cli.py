@@ -8,6 +8,7 @@ import pytest
 from quantmatch.adapters import Adapter
 from quantmatch import cli
 from quantmatch.cli import load_spec, main
+from quantmatch.loss import BLOCK_BYTES
 
 TINY_CONFIG = """
 [experiment]
@@ -312,6 +313,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS minibatch-gradients[affine]: 56 batches" in out
         assert "PASS minibatch-gradients[mlp1]: 56 batches" in out
+
+    def test_minibatch_gradients_suite_threaded_step(self, capsys, monkeypatch):
+        """Blocks of two points (and references) on two threads print the lines of one block on one thread."""
+        args = ["verify", "minibatch-gradients", "--n", "10", "--b", "4"]
+        lines = []
+        for threads, budget in ((1, BLOCK_BYTES), (2, 1)):
+            monkeypatch.setattr("quantmatch.loss.THREADS", threads)
+            monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", budget)
+            assert main(args) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert lines[0].count("PASS minibatch-gradients") == 2
 
     def test_gradients_suite_fails_on_a_wrong_gradient(self, capsys, monkeypatch):
         # 0.1% off: the check divides the error by max |numeric gradient|

@@ -138,3 +138,29 @@ class TestCsvDump:
         assert len(lines) == 21
         parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
         np.testing.assert_array_equal(parsed, data.cloud.points)
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_bytes_of_csv_writer(self, tmp_path, d):
+        import csv
+
+        from quantmatch import PointCloud
+        from quantmatch.datasets import LabeledCloud, cloud_to_csv
+        from quantmatch.rng import SplitMix64
+
+        points = SplitMix64.stream("csv_bytes", d).normals((12, d))
+        points[0, 0] = -0.0
+        points[1, -1] = 5e-324  # subnormal
+        points[2, 0] = 1e300
+        points[3, -1] = -1e-300
+        points[4, 0] = 0.1 + 0.2
+        data = LabeledCloud(PointCloud(points), np.arange(12) % 6)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["class"] + [f"x{i + 1}" for i in range(d)])
+            for label, row in zip(data.labels, data.cloud.points):
+                writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        got = tmp_path / "got.csv"
+        cloud_to_csv(data, got)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"-0.0" in got.read_bytes() and b"5e-324" in got.read_bytes()

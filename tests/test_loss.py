@@ -1,10 +1,12 @@
 import hashlib
+import importlib
 import os
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -658,3 +660,98 @@ class TestThreadedBlocks:
 
     def test_threads_follow_the_affinity(self):
         assert quantmatch.loss.THREADS == min(2, len(os.sched_getaffinity(0)))
+
+
+class TestThreadedStep:
+    """The minibatch step over blocks of points on two threads gives the bits of one block on one thread."""
+
+    @staticmethod
+    def case(b, count, d, seed=0):
+        rng = SplitMix64.stream("threaded_step", 1000 * seed + 100 * d + b)
+        n = max(b, count) + 3
+        snapshot = PointCloud(rng.normals((n, d)))
+        refs = select_references(snapshot, count, seed=seed)
+        bank = initialize_bank(snapshot, refs)
+        batch = np.asarray(rng.permutation(n)[:b], dtype=int)
+        return snapshot.points[batch] + 0.1 * rng.normals((b, d)), batch, bank, refs
+
+    @staticmethod
+    def one_block(monkeypatch, yb, batch, bank, refs):
+        monkeypatch.setattr("quantmatch.loss.THREADS", 1)
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", BLOCK_BYTES)
+        b, d = yb.shape
+        assert len(reference_blocks(b, refs.count * d)) == len(reference_blocks(refs.count, b * d)) == 1
+        return minibatch_point_grads(yb, batch, bank, refs).tobytes()
+
+    @staticmethod
+    def threaded(monkeypatch, yb, batch, bank, refs):
+        """Blocks of two points (and two references) on two threads."""
+        monkeypatch.setattr("quantmatch.loss.THREADS", 2)
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)
+        return minibatch_point_grads(yb, batch, bank, refs).tobytes()
+
+    @pytest.mark.parametrize(
+        "b, count, d",
+        [
+            (8, 9, 3),   # four blocks of two points
+            (9, 12, 1),  # a last block of one point, whose gradient terms are all zero at d = 1
+            (9, 12, 2),  # a last block of one point, whose (R, 1) columns numpy would add pairwise
+            (25, 40, 2),  # thirteen point blocks, twenty reference blocks
+        ],
+    )
+    def test_two_threads_give_the_one_block_bits(self, monkeypatch, b, count, d):
+        yb, batch, bank, refs = self.case(b, count, d)
+        want = self.one_block(monkeypatch, yb, batch, bank, refs)
+        assert len(reference_blocks(b, refs.count * d, 0)) == (b + 1) // 2
+        threads = set()
+
+        def recorded(points, ref_points):
+            threads.add(threading.get_ident())
+            time.sleep(1e-3)  # hand over the GIL, so that both threads take blocks
+            return unit_directions(points, ref_points)
+
+        monkeypatch.setattr("quantmatch.trainer.unit_directions", recorded)
+        assert self.threaded(monkeypatch, yb, batch, bank, refs) == want
+        assert threading.get_ident() in threads and len(threads) >= 2
+
+    @pytest.mark.parametrize("on_reference", [False, True])
+    def test_one_point_and_one_reference(self, monkeypatch, on_reference):
+        yb, batch, bank, refs = self.case(1, 1, 2)
+        if on_reference:
+            yb = refs.quantiles.copy()
+        want = self.one_block(monkeypatch, yb, batch, bank, refs)
+        assert self.threaded(monkeypatch, yb, batch, bank, refs) == want
+        # a coincident pair is excluded, so it carries no gradient
+        assert np.frombuffer(want).any() != on_reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases(dims=range(1, 5)))
+    def test_bit_identical_on_kernel_cases(self, case):
+        points, refs, batch, snapshot = case
+        assume(len(points) > 1)  # a bank needs a cloud of two points
+        bank = initialize_bank(PointCloud(snapshot), refs)
+        yb = points[batch]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            want = self.one_block(monkeypatch, yb, batch, bank, refs)
+            assert self.threaded(monkeypatch, yb, batch, bank, refs) == want
+
+    def test_tracer_sites_run_on_the_calling_thread(self, monkeypatch):
+        """perfbench's tracer keeps one span stack, so no site it patches may run inside a block."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracer")
+        ran = {}
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                ran.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        yb, batch, bank, refs = self.case(9, 12, 2)
+        for name, sites in tracer.TARGETS.items():
+            for module, path in sites:
+                owner, attr = tracer._resolve(module, path)
+                monkeypatch.setattr(owner, attr, recording(name, getattr(owner, attr)))
+        self.threaded(monkeypatch, yb, batch, bank, refs)
+        assert ran == {"bank.control_variate_estimate": {threading.get_ident()}}
