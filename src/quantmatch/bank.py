@@ -18,8 +18,7 @@ import numpy as np
 from .geometry import DimensionMismatchError, PointCloud
 from .loss import (
     ReferenceSet,
-    for_each_block,
-    kept_counts,
+    index_averages,
     plane_dot,
     point_sums,
     residual_loss,
@@ -73,40 +72,31 @@ def per_sample_units(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
 
 
 def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bool = False, moments: bool = True) -> Sweep:
-    """Build the units at `adapted` once, one reference block at a time, and take everything from them.
+    """The loss from index_averages at `adapted`, whose visitor takes the bank's needs from the same units.
 
-    Each block's sums over the points give the loss (divided by the kept
-    counts, as index_averages does, so a reference that coincides with every
-    point raises DegenerateCloudError) and the bank means (divided by n).
-    With moments, the block's population moments against the snapshot are
-    taken next; with refresh, the block then overwrites the snapshot through
-    a transposed view, so no second (d, R, n) array is ever built.  The
-    blocks run through for_each_block, each writing only its own slices, so
-    the bits do not depend on the threads.  A sweep that raises may leave
-    any of the snapshot's blocks refreshed.
+    Each block's point sums give the bank means (divided by n).  With
+    moments, the block's population moments against the snapshot follow;
+    with refresh, the block then overwrites the snapshot through a
+    transposed view, so no second (d, R, n) array is ever built.  A sweep
+    that raises may leave any of the snapshot's blocks refreshed.
     """
     if adapted.n != bank.snapshot_units.shape[1]:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
-    n = adapted.n
-    resid = np.empty_like(refs.target_indices)
     avgs = np.empty_like(refs.target_indices)
     out = np.empty((3, refs.count)) if moments else None
 
-    def sweep_block(block):
-        units, _, mask = unit_directions(adapted.points, refs.quantiles[block])
-        sums = point_sums(units)
-        resid[block] = sums / kept_counts(mask)[:, None] - refs.target_indices[block]
-        avgs[block] = sums / n
+    def visit(block, units, sums):
+        avgs[block] = sums / adapted.n
         snapshot = bank.snapshot_units[:, :, block]
         if moments:
             out[:, block] = population_moments(units, snapshot.transpose(0, 2, 1), avgs[block], bank.snapshot_avgs[block])
         if refresh:
             snapshot[...] = units.transpose(0, 2, 1)
 
-    for_each_block(sweep_block, refs.count, adapted.points.size)
+    loss = residual_loss(index_averages(adapted.points, refs.quantiles, visit) - refs.target_indices)
     if refresh:
         bank.snapshot_avgs = avgs
-    return Sweep(residual_loss(resid), None if out is None else tuple(out))
+    return Sweep(loss, None if out is None else tuple(out))
 
 
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:

@@ -186,17 +186,28 @@ def run_experiment(spec: ExperimentSpec) -> int:
     cfg = spec.train
     if cfg.batch_size == 0:
         cfg = replace(cfg, batch_size=corrupted.n)
-    adapter, trace = train(
-        source_feats,
-        corrupted.cloud,
-        adapter,
-        fmap,
-        cfg,
-        paired=True,
-        source_labels=clean.labels,
-    )
+    # the output dir is made before training, so that an unusable one costs no
+    # run; a config error found in training takes back the directories it made
+    made = [path for path in (spec.out_dir, *spec.out_dir.parents) if not path.exists()]
+    try:
+        spec.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use [output] dir {spec.out_dir}: {exc}") from exc
+    try:
+        adapter, trace = train(
+            source_feats,
+            corrupted.cloud,
+            adapter,
+            fmap,
+            cfg,
+            paired=True,
+            source_labels=clean.labels,
+        )
+    except ConfigError:
+        for path in made:
+            path.rmdir()
+        raise
 
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(spec.out_dir / "trace.csv")
     cloud_to_csv(clean, spec.out_dir / "source.csv")
     cloud_to_csv(corrupted, spec.out_dir / "target.csv")
@@ -237,7 +248,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             "diverged": diverged,
             "mse_plateau": bool(mse_plateau),
             "wasserstein_skipped": any("wasserstein_skipped" in r.flag for r in trace.records),
-            "aborted_steps": sum("nonfinite_grad" in r.flag for r in trace.records),
+            "aborted_steps": trace.aborted_steps,
         },
         "runtime_ms": 1000.0 * (time.perf_counter() - started),
     }

@@ -30,9 +30,9 @@ from .rng import SplitMix64
 # references or points each (one reference alone takes row_sums' cumsum path,
 # one point alone direction_point_grads' m == 1 path).  Each reference's and
 # each point's arithmetic is the same in any block, so the outputs do not
-# depend on the block size.  Reference selection, the sweep and the step share
-# their blocks between THREADS threads (for_each_block), with blocks of
-# BLOCK_BYTES // THREADS, so the bytes in flight stay within one BLOCK_BYTES.
+# depend on the block size.  index_averages and the step share their blocks
+# between THREADS threads (for_each_block), with blocks of BLOCK_BYTES //
+# THREADS, so the bytes in flight stay within one BLOCK_BYTES.
 BLOCK_BYTES = 4 << 20
 MIN_BLOCK_REFS = 2
 THREADS = min(2, len(os.sched_getaffinity(0)))
@@ -164,15 +164,9 @@ def select_references(
 
     idx = np.asarray(chosen, dtype=int)
     quantiles = source.points[idx].copy()
-    # same vectorized path the loss uses, so a loss of exactly zero is
-    # attainable when the adapted cloud reproduces the source
-    target_indices = np.empty_like(quantiles)
-
-    def index_block(block):
-        target_indices[block] = index_averages(source.points, quantiles[block])
-
-    for_each_block(index_block, count, source.points.size)
-    return ReferenceSet(quantiles=quantiles, target_indices=target_indices)
+    # the pass the loss uses, so a loss of exactly zero is attainable when
+    # the adapted cloud reproduces the source
+    return ReferenceSet(quantiles=quantiles, target_indices=index_averages(source.points, quantiles))
 
 
 def h_r(x, z_r) -> np.ndarray:
@@ -296,13 +290,25 @@ def kept_counts(mask: np.ndarray) -> np.ndarray:
     return counts
 
 
-def index_averages(points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
+def index_averages(points: np.ndarray, ref_points: np.ndarray, visit=None) -> np.ndarray:
     """(R, d) per-reference averaged unit vectors from the points toward each reference.
 
-    Coincident pairs are excluded and each mean renormalized by the surviving count.
+    Coincident pairs are excluded and each mean renormalized by the surviving
+    count.  The references run in blocks through for_each_block; visit(block,
+    units, sums), when given, then sees each block's (d, R_b, m) unit planes
+    and (R_b, d) point sums, under for_each_block's rules for fn.
     """
-    units, _, mask = unit_directions(points, ref_points)
-    return point_sums(units) / kept_counts(mask)[:, None]
+    averages = np.empty(ref_points.shape)
+
+    def index_block(block):
+        units, _, mask = unit_directions(points, ref_points[block])
+        sums = point_sums(units)
+        averages[block] = sums / kept_counts(mask)[:, None]
+        if visit is not None:
+            visit(block, units, sums)
+
+    for_each_block(index_block, ref_points.shape[0], points.size)
+    return averages
 
 
 def residual_loss(resid: np.ndarray) -> float:
@@ -319,16 +325,19 @@ def quantile_loss_on_points(
 
     Takes the adapted cloud as a raw (m, d) array; the gradient, one row per
     point, is d(total)/d(point) and is None unless want_grad.  Runs over
-    reference blocks, so it holds one block's unit planes at a time.
+    reference blocks, one block's unit planes at a time: index_averages' for
+    the loss alone, on its threads; one serial loop that carries the gradient's
+    sums from block to block otherwise.
     """
+    if not want_grad:
+        return residual_loss(index_averages(points, refs.quantiles) - refs.target_indices), None
     resid = np.empty_like(refs.target_indices)                   # (R, d)
     grads = None
     for block in reference_blocks(refs.count, points.size):
         units, dist, mask = unit_directions(points, refs.quantiles[block])
         counts = kept_counts(mask)
         resid[block] = point_sums(units) / counts[:, None] - refs.target_indices[block]
-        if want_grad:
-            scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
-            scale *= 2.0 / refs.count
-            grads = direction_point_grads(units, resid[block], scale, grads)
+        scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
+        scale *= 2.0 / refs.count
+        grads = direction_point_grads(units, resid[block], scale, grads)
     return residual_loss(resid), grads

@@ -110,6 +110,7 @@ class RunTrace:
     records: list[EpochRecord] = field(default_factory=list)
     adapted: np.ndarray | None = None  # the last record's (n, d) adapted cloud
     divergence: tuple[int, float] | None = None  # (epoch, spread ratio) of a stopped run
+    aborted_steps: int = 0  # sgd_step calls refused for a non-finite gradient; a record flags its epoch once
 
     def column(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.records]
@@ -317,6 +318,7 @@ def train(
                 adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
             except NonFiniteGradientError:
                 flag = "nonfinite_grad"
+                trace.aborted_steps += 1
         elif epoch > 0:
             order = np.asarray(rng.permutation(n), dtype=int)
             for start in range(0, n, cfg.batch_size):
@@ -331,6 +333,7 @@ def train(
                     adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
                 except NonFiniteGradientError:
                     flag = "nonfinite_grad"
+                    trace.aborted_steps += 1
 
         transformed = adapter.forward_cloud(target.points)
         adapted = fmap.forward_cloud(transformed)

@@ -233,7 +233,7 @@ class TestEstimatorVariance:
         def no_units(*args):
             raise AssertionError("unit planes built before the arguments were checked")
 
-        monkeypatch.setattr("quantmatch.bank.unit_directions", no_units)
+        monkeypatch.setattr("quantmatch.loss.unit_directions", no_units)
         for kwargs in ({"mode": "monte_carlo", "draws": 0}, {"mode": "monte_carlo", "draws": -5}, {"mode": "sampled"}):
             with pytest.raises(ValueError):
                 estimator_variance(current, current, refs, b=3, **kwargs)

@@ -242,6 +242,46 @@ class TestRun:
         rows = (out / "trace.csv").read_text().splitlines()
         assert len(rows) == 1 + payload["epoch"]  # header plus the records before the stop
 
+    @pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+    def test_unusable_output_dir_exits_2_before_training(self, tiny_config, tmp_path, capsys, monkeypatch, under):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the output dir was made")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = taken / "out" if under else taken
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert "[output] dir" in payload["message"]
+
+    def test_config_error_in_training_takes_back_the_output_dirs(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace("reference_count = 20", "reference_count = 21"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "a" / "b")]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+        assert not (tmp_path / "a").exists()
+
+    def test_aborted_steps_count_steps_not_epochs(self, tmp_path, monkeypatch):
+        text = TINY_CONFIG.replace("batch_size = 60", "batch_size = 16").replace("full_batch = true", "full_batch = false")
+        path = tmp_path / "c.cfg"
+        path.write_text(text.replace("epochs = 10", "epochs = 2"))
+        grads = cli.minibatch_point_grads
+        calls = []
+
+        def two_nan_batches(*args):
+            calls.append(None)
+            # the second and third of epoch 1's four batches
+            return grads(*args) * (np.nan if len(calls) in (2, 3) else 1.0)
+
+        monkeypatch.setattr("quantmatch.trainer.minibatch_point_grads", two_nan_batches)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 8
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["flags"]["aborted_steps"] == 2
+
     # Final values of the tiny config in full batch and in bank mode; rtol=1e-9
     # catches a changed formula but lets ulp-level kernel changes through.
     @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from quantmatch.bank import (
 )
 from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
 import quantmatch.loss
+import quantmatch.trainer
 from quantmatch.loss import BLOCK_BYTES, ReferenceSet, for_each_block, index_averages, reference_blocks, unit_directions
 from quantmatch.oracles import enumerate_batches
 from quantmatch.rng import SplitMix64
@@ -567,7 +568,7 @@ class TestSweepLoss:
 
 
 class TestThreadedBlocks:
-    """Reference selection and the sweep give the same bits on one thread as on two."""
+    """index_averages' passes, reference selection, the sweep and the loss alone, give the same bits on one thread as on two."""
 
     @staticmethod
     def outputs(source, current, count):
@@ -580,6 +581,7 @@ class TestThreadedBlocks:
             np.asarray(swept.moments).tobytes(),
             hashlib.sha256(bank.snapshot_units).hexdigest(),
             bank.snapshot_avgs.tobytes(),
+            quantile_loss_on_points(current.points, refs, want_grad=False)[0].hex(),
         )
 
     @pytest.mark.parametrize(
@@ -660,6 +662,37 @@ class TestThreadedBlocks:
 
     def test_threads_follow_the_affinity(self):
         assert quantmatch.loss.THREADS == min(2, len(os.sched_getaffinity(0)))
+
+    def test_tracer_sites_run_on_the_calling_thread(self, monkeypatch):
+        """perfbench's tracer keeps one span stack, so no site it patches may run inside a block."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracer")
+        ran = {}
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                ran.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, sites in tracer.TARGETS.items():
+            for module, path in sites:
+                owner, attr = tracer._resolve(module, path)
+                monkeypatch.setattr(owner, attr, recording(name, getattr(owner, attr)))
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)
+        monkeypatch.setattr("quantmatch.loss.THREADS", 2)
+        rng = SplitMix64.stream("threaded_blocks", 0)
+        source = PointCloud(rng.normals((60, 3)))
+        current = PointCloud(rng.normals((60, 3)) + 0.3)
+        # through the names the tracer wraps, so each pass is one span on this thread
+        refs = quantmatch.trainer.select_references(source, 41, seed=0)
+        bank = quantmatch.trainer.initialize_bank(source, refs)
+        sweep(bank, current, refs, refresh=True)
+        quantmatch.trainer.quantile_loss_on_points(current.points, refs, want_grad=False)
+        assert len(reference_blocks(41, current.points.size)) > 1
+        here = {threading.get_ident()}
+        assert ran == {"loss.select_references": here, "bank.initialize_bank": here, "loss.quantile_loss_on_points": here}
 
 
 class TestThreadedStep:
