@@ -18,6 +18,7 @@ import numpy as np
 from .geometry import DimensionMismatchError, PointCloud
 from .loss import (
     ReferenceSet,
+    Workspace,
     index_averages,
     plane_dot,
     point_sums,
@@ -75,21 +76,22 @@ def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bo
     """The loss from index_averages at `adapted`, whose visitor takes the bank's needs from the same units.
 
     Each block's point sums give the bank means (divided by n).  With
-    moments, the block's population moments against the snapshot follow;
-    with refresh, the block then overwrites the snapshot through a
-    transposed view, so no second (d, R, n) array is ever built.  A sweep
-    that raises may leave any of the snapshot's blocks refreshed.
+    moments, the block's population moments against the snapshot follow, in
+    the block's workspace; with refresh, the block then overwrites the
+    snapshot through a transposed view, so no second (d, R, n) array is ever
+    built.  The visitor keeps none of the workspace's arrays after its block.
+    A sweep that raises may leave any of the snapshot's blocks refreshed.
     """
     if adapted.n != bank.snapshot_units.shape[1]:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
     avgs = np.empty_like(refs.target_indices)
     out = np.empty((3, refs.count)) if moments else None
 
-    def visit(block, units, sums):
+    def visit(block, units, sums, work):
         avgs[block] = sums / adapted.n
         snapshot = bank.snapshot_units[:, :, block]
         if moments:
-            out[:, block] = population_moments(units, snapshot.transpose(0, 2, 1), avgs[block], bank.snapshot_avgs[block])
+            out[:, block] = population_moments(units, snapshot.transpose(0, 2, 1), avgs[block], bank.snapshot_avgs[block], work)
         if refresh:
             snapshot[...] = units.transpose(0, 2, 1)
 
@@ -126,19 +128,23 @@ class EstimatorDiagnostics:
     beta_star: float
 
 
-def population_moments(a_units: np.ndarray, s_units: np.ndarray, a_mean=None, s_mean=None):
+def population_moments(a_units: np.ndarray, s_units: np.ndarray, a_mean=None, s_mean=None, work: Workspace | None = None):
     """Per-reference variances and cross-covariance of two (d, R, n) unit-plane populations.
 
     Returns (sigma_a2, sigma_s2, sigma_as), each (R,), using the expected
     squared-norm convention.  A population's (R, d) mean, when given, must be
     its point_sums / n; it is computed when not given.  Either population may
     be a strided view, such as the transposed snapshot: the deviations are
-    written in C order, so each mean(axis=1) adds along contiguous points.
+    written contiguous, so each mean(axis=1) adds along contiguous points.
+    They go to work's "rows" buffer, which point_sums has finished with, and
+    its "deviations" buffer (a new Workspace's when not given).
     """
     n = a_units.shape[2]
-    a_mean = point_sums(a_units) / n if a_mean is None else a_mean
-    s_mean = point_sums(s_units) / n if s_mean is None else s_mean
-    da, ds = (np.subtract(units, mean.T[:, :, None], order="C") for units, mean in ((a_units, a_mean), (s_units, s_mean)))
+    work = Workspace() if work is None else work
+    a_mean = point_sums(a_units, work) / n if a_mean is None else a_mean
+    s_mean = point_sums(s_units, work) / n if s_mean is None else s_mean
+    da = np.subtract(a_units, a_mean.T[:, :, None], out=work.take("rows", a_units.shape))
+    ds = np.subtract(s_units, s_mean.T[:, :, None], out=work.take("deviations", s_units.shape))
     return plane_dot(da, da).mean(axis=1), plane_dot(ds, ds).mean(axis=1), plane_dot(da, ds).mean(axis=1)
 
 

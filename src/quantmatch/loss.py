@@ -9,6 +9,7 @@ unit vectors h_r, which is what the memory-bank estimator exploits.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -38,60 +39,93 @@ MIN_BLOCK_REFS = 2
 THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
-def reference_blocks(count: int, plane_size: int, budget: int | None = None) -> list[slice]:
+class Workspace(dict):
+    """Named flat buffers that a pass reuses from block to block, so that its blocks map no fresh pages.
+
+    take(name, shape) views the front of the flat buffer `name` in the exact
+    shape, contiguous, as a fresh array of that shape would be; the buffer is
+    allocated on first use, and again only if a later block needs more.  A
+    pass's blocks come largest first, so each of its workspaces allocates
+    once.  A view shares its memory with every later take of the same name.
+    """
+
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.get(name)
+        if buf is None or buf.size < size:
+            buf = self[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def reference_blocks(count: int, plane_size: int, budget: int | None = None, parts: int = 1) -> list[slice]:
     """Consecutive slices of `count` items, references or points, each against plane_size values.
 
     plane_size is m * d for references against m points, and R * d for
-    points against R references.  Each block's unit planes take at most
-    `budget` bytes (BLOCK_BYTES when not given).
+    points against R references.  The cut is the fewest blocks whose unit
+    planes take at most `budget` bytes (BLOCK_BYTES when not given), or hold
+    MIN_BLOCK_REFS items where the budget holds fewer.  Their count is
+    rounded up to a multiple of `parts` unless that would leave a block
+    below MIN_BLOCK_REFS items.  Block sizes differ by at most one, the
+    larger blocks first.
     """
     budget = BLOCK_BYTES if budget is None else budget
     size = max(MIN_BLOCK_REFS, budget // (8 * max(plane_size, 1)))
-    return [slice(start, start + size) for start in range(0, count, size)]
+    blocks = -(-count // size)
+    if count >= MIN_BLOCK_REFS * (blocks + -blocks % parts):
+        blocks += -blocks % parts
+    if blocks <= 1:  # every pass of a small run: no dearer than a fixed-size slice
+        return [slice(0, count)] if blocks else []
+    small, extra = divmod(count, blocks)
+    starts = [i * small + min(i, extra) for i in range(blocks + 1)]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 def for_each_block(fn, count: int, plane_size: int) -> None:
-    """Call fn(block) on every block of reference_blocks(count, plane_size), on up to THREADS threads.
+    """Call fn(block, work) on every block of reference_blocks(count, plane_size), on up to THREADS threads.
 
-    The blocks cut references or points, whichever `count` counts.
+    The blocks cut references or points, whichever `count` counts.  `work`
+    is the Workspace of the slot that runs the block, one per thread and
+    pass: slot 0 for the calling thread, slot 1 for the helper.
 
     fn must write only its own block's slices of its outputs; then the
     outputs do not depend on which thread ran a block, or when.  With one
     thread, or references that fit one block, this is a plain loop on the
     calling thread.  Otherwise the blocks take BLOCK_BYTES // THREADS each,
-    and the calling thread and THREADS - 1 helpers take them in order.  If
-    blocks raise, the exception of the lowest failing block is raised once
-    every helper has stopped; blocks above it may or may not have run.
-    fn must not reach a site of perfbench's tracer, whose span stack is
-    single-threaded: trace the whole pass from the calling thread instead.
+    in a multiple of THREADS blocks of near-equal size (see reference_blocks),
+    and the calling thread and THREADS - 1 helpers take them in order.  If blocks raise, the
+    exception of the lowest failing block is raised once every helper has
+    stopped; blocks above it may or may not have run.  fn must not reach a
+    site of perfbench's tracer, whose span stack is single-threaded: trace
+    the whole pass from the calling thread instead.
     """
     blocks = reference_blocks(count, plane_size)
     if THREADS == 1 or len(blocks) == 1:
+        work = Workspace()
         for block in blocks:
-            fn(block)
+            fn(block, work)
         return
-    blocks = reference_blocks(count, plane_size, BLOCK_BYTES // THREADS)
+    blocks = reference_blocks(count, plane_size, BLOCK_BYTES // THREADS, THREADS)
     order = iter(range(len(blocks)))
     errors: dict[int, Exception] = {}
     lock = threading.Lock()
 
-    def work():
+    def run(slot):
         while True:
             with lock:
                 i = next(order, None)
                 if i is None or errors:  # a recorded failure is of a lower block than i
                     return
             try:
-                fn(blocks[i])
+                fn(blocks[i], slot)
             except Exception as exc:
                 with lock:
                     errors[i] = exc
 
-    helpers = [threading.Thread(target=work) for _ in range(THREADS - 1)]
+    helpers = [threading.Thread(target=run, args=(Workspace(),)) for _ in range(THREADS - 1)]
     for helper in helpers:
         helper.start()
     try:
-        work()
+        run(Workspace())
     finally:
         for helper in helpers:
             helper.join()
@@ -191,36 +225,46 @@ def g_r(avg, u_r) -> float:
     return float(np.sum((avg - u_r) ** 2))
 
 
-def plane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a[k] * b[k] over the leading coordinate axis, in coordinate order (numpy adds 8 or more pairwise)."""
-    total = a[0] * b[0]
+def plane_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, part: np.ndarray | None = None) -> np.ndarray:
+    """sum_k a[k] * b[k] over the leading coordinate axis, in coordinate order (numpy adds 8 or more pairwise).
+
+    The sum goes to `out` and each later product to `part` when they are given.
+    """
+    total = np.multiply(a[0], b[0], out=out)
     for ak, bk in zip(a[1:], b[1:]):
-        total += ak * bk
+        total += np.multiply(ak, bk, out=part)
     return total
 
 
-def unit_directions(points: np.ndarray, ref_points: np.ndarray):
+def unit_directions(points: np.ndarray, ref_points: np.ndarray, work: Workspace | None = None):
     """Unit vectors from each point toward each reference, one (R, m) plane per coordinate.
 
     Returns (units, dist, mask): units is (d, R, m) with zeros where the
     point coincides with the reference (dist < COINCIDENCE_EPS), dist is the
     (R, m) distance and mask marks the pairs that are kept.  The squared
-    distance is added up one coordinate at a time, in coordinate order.
-    Points that are not (m, d) for the references' d raise
+    distance is added up one coordinate at a time, in coordinate order.  The
+    three arrays, and the squared distance's partial products, are work's
+    "units", "dist", "mask" and "part" buffers (a new Workspace's when not
+    given).  Points that are not (m, d) for the references' d raise
     DimensionMismatchError here, the one check the loss and the bank share.
     """
     if points.ndim != 2 or points.shape[1] != ref_points.shape[1]:
         raise DimensionMismatchError(
             f"points of shape {points.shape} do not match references of dimension {ref_points.shape[1]}"
         )
+    work = Workspace() if work is None else work
+    (m, d), count = points.shape, ref_points.shape[0]
+    units = work.take("units", (d, count, m))
+    dist = work.take("dist", (count, m))
+    mask = work.take("mask", (count, m), bool)
     cols = np.ascontiguousarray(points.T)                        # (d, m)
-    units = ref_points.T[:, :, None] - cols[:, None, :]          # (d, R, m) differences, scaled below
-    dist = np.sqrt(plane_dot(units, units))                      # (R, m)
-    mask = dist >= COINCIDENCE_EPS
+    np.subtract(ref_points.T[:, :, None], cols[:, None, :], out=units)  # (d, R, m) differences, scaled below
+    np.sqrt(plane_dot(units, units, dist, work.take("part", (count, m))), out=dist)
+    np.greater_equal(dist, COINCIDENCE_EPS, out=mask)
     if mask.all():
         units /= dist
     else:
-        units /= np.where(mask, dist, 1.0)
+        np.divide(units, dist, out=units, where=mask)
         units[:, ~mask] = 0.0
     return units, dist, mask
 
@@ -238,12 +282,16 @@ def row_sums(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sums.T)
 
 
-def point_sums(units: np.ndarray) -> np.ndarray:
+def point_sums(units: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """(R, d) sums of the (d, R, m) unit planes over the points, added in point order.
 
-    The planes are copied point-major, to (d, m, R), for row_sums.
+    The planes are copied point-major, to (d, m, R), for row_sums, into
+    work's "rows" buffer (a new Workspace's when not given).
     """
-    return row_sums(np.ascontiguousarray(units.transpose(0, 2, 1)))
+    d, count, m = units.shape
+    rows = (Workspace() if work is None else work).take("rows", (d, m, count))
+    np.copyto(rows, units.transpose(0, 2, 1))
+    return row_sums(rows)
 
 
 def direction_point_grads(
@@ -294,18 +342,21 @@ def index_averages(points: np.ndarray, ref_points: np.ndarray, visit=None) -> np
     """(R, d) per-reference averaged unit vectors from the points toward each reference.
 
     Coincident pairs are excluded and each mean renormalized by the surviving
-    count.  The references run in blocks through for_each_block; visit(block,
-    units, sums), when given, then sees each block's (d, R_b, m) unit planes
-    and (R_b, d) point sums, under for_each_block's rules for fn.
+    count.  The references run in blocks through for_each_block, each in its
+    slot's workspace; visit(block, units, sums, work), when given, then sees
+    each block's (d, R_b, m) unit planes, its (R_b, d) point sums and the
+    workspace, under for_each_block's rules for fn.  The planes live in the
+    workspace, which the slot's next block overwrites, so visit must not keep
+    them, or anything else it takes from the workspace, after it returns.
     """
     averages = np.empty(ref_points.shape)
 
-    def index_block(block):
-        units, _, mask = unit_directions(points, ref_points[block])
-        sums = point_sums(units)
+    def index_block(block, work):
+        units, _, mask = unit_directions(points, ref_points[block], work)
+        sums = point_sums(units, work)
         averages[block] = sums / kept_counts(mask)[:, None]
         if visit is not None:
-            visit(block, units, sums)
+            visit(block, units, sums, work)
 
     for_each_block(index_block, ref_points.shape[0], points.size)
     return averages
@@ -327,16 +378,18 @@ def quantile_loss_on_points(
     point, is d(total)/d(point) and is None unless want_grad.  Runs over
     reference blocks, one block's unit planes at a time: index_averages' for
     the loss alone, on its threads; one serial loop that carries the gradient's
-    sums from block to block otherwise.
+    sums from block to block otherwise, in one workspace (for_each_block's
+    slot 0).
     """
     if not want_grad:
         return residual_loss(index_averages(points, refs.quantiles) - refs.target_indices), None
     resid = np.empty_like(refs.target_indices)                   # (R, d)
     grads = None
+    work = Workspace()
     for block in reference_blocks(refs.count, points.size):
-        units, dist, mask = unit_directions(points, refs.quantiles[block])
+        units, dist, mask = unit_directions(points, refs.quantiles[block], work)
         counts = kept_counts(mask)
-        resid[block] = point_sums(units) / counts[:, None] - refs.target_indices[block]
+        resid[block] = point_sums(units, work) / counts[:, None] - refs.target_indices[block]
         scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
         scale *= 2.0 / refs.count
         grads = direction_point_grads(units, resid[block], scale, grads)

@@ -31,6 +31,7 @@ from .bank import (
 from .geometry import PointCloud
 from .loss import (
     ReferenceSet,
+    Workspace,
     direction_point_grads,
     for_each_block,
     quantile_loss_on_points,
@@ -184,6 +185,7 @@ def minibatch_point_grads(
     batch: np.ndarray,
     bank: MemoryBank,
     refs: ReferenceSet,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Point gradients of mean_r ||estimate_r - u_r||^2 through the batch term.
 
@@ -198,13 +200,25 @@ def minibatch_point_grads(
     references.  The calling thread then makes the estimate, and the third
     pass takes the gradient rows of each point block.  Every block writes
     only its own rows, so the bits do not depend on the blocks or the threads.
+    The point-major array and each point block's planes are views of `work`'s
+    buffers (a new Workspace's when not given), so the steps of an epoch can
+    share one workspace: a smaller last batch takes views of their fronts.
     """
     b, d = yb.shape
-    rows = np.empty((d, b, refs.count))                                # the batch's units, point-major
+    work = Workspace() if work is None else work
+    rows = work.take("rows", (d, b, refs.count))                       # the batch's units, point-major
+    # each point block's planes, kept for the gradient pass: block [s, e)'s are rows s to e of these
+    by_point = (
+        work.take("units", (b, d * refs.count)),
+        work.take("dist", (b, refs.count)),
+        work.take("mask", (b, refs.count), bool),
+    )
     planes = {}                                                        # block start -> (units, dist, mask)
 
-    def directions(block):
-        units, dist, mask = unit_directions(yb[block], refs.quantiles)
+    def directions(block, slot):
+        units, dist, mask = (buf[block].reshape(-1) for buf in by_point)
+        held = Workspace(units=units, dist=dist, mask=mask, part=slot.take("part", dist.shape))
+        units, dist, mask = unit_directions(yb[block], refs.quantiles, held)
         rows[:, block] = units.transpose(0, 2, 1)
         planes[block.start] = units, dist, mask
 
@@ -212,7 +226,7 @@ def minibatch_point_grads(
     current = np.empty_like(refs.target_indices)                       # (R, d) batch means, at theta
     snapshot = np.empty_like(refs.target_indices)                      # and at theta_snap
 
-    def batch_means(block):
+    def batch_means(block, _):
         current[block] = row_sums(rows[:, :, block]) / b
         snapshot[block] = bank.batch_mean(batch, block)
 
@@ -221,7 +235,7 @@ def minibatch_point_grads(
     resid = estimate - refs.target_indices                             # (R, d)
     grads = np.empty((b, d))
 
-    def gradients(block):
+    def gradients(block, _):
         units, dist, mask = planes[block.start]
         scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
         grads[block] = direction_point_grads(units, resid, scale)
@@ -321,12 +335,13 @@ def train(
                 trace.aborted_steps += 1
         elif epoch > 0:
             order = np.asarray(rng.permutation(n), dtype=int)
+            step_work = Workspace()  # the epoch's step buffers, freed before the record's sweep
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 xb = target.points[batch]
                 tb = adapter.forward_cloud(xb)
                 yb = fmap.forward_cloud(tb)
-                point_grads = minibatch_point_grads(yb, batch, bank, refs)
+                point_grads = minibatch_point_grads(yb, batch, bank, refs, step_work)
                 param_grad = _chain_param_grad(adapter, fmap, xb, tb, point_grads)
                 grad_norm = float(np.linalg.norm(param_grad))
                 try:
@@ -334,6 +349,7 @@ def train(
                 except NonFiniteGradientError:
                     flag = "nonfinite_grad"
                     trace.aborted_steps += 1
+            del step_work
 
         transformed = adapter.forward_cloud(target.points)
         adapted = fmap.forward_cloud(transformed)

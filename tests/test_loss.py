@@ -32,7 +32,19 @@ from quantmatch.bank import (
 from quantmatch.geometry import DegenerateCloudError, DimensionMismatchError
 import quantmatch.loss
 import quantmatch.trainer
-from quantmatch.loss import BLOCK_BYTES, ReferenceSet, for_each_block, index_averages, reference_blocks, unit_directions
+from quantmatch.loss import (
+    BLOCK_BYTES,
+    MIN_BLOCK_REFS,
+    ReferenceSet,
+    Workspace,
+    for_each_block,
+    index_averages,
+    plane_dot,
+    point_sums,
+    reference_blocks,
+    row_sums,
+    unit_directions,
+)
 from quantmatch.oracles import enumerate_batches
 from quantmatch.rng import SplitMix64
 from quantmatch.trainer import _variance_sample, minibatch_point_grads
@@ -519,6 +531,27 @@ class TestBoundedMemory:
 
         assert self.peak_bytes(record) <= snapshot_bytes + self.BLOCKS * BLOCK_BYTES
 
+    # The two bounds below are the tracemalloc peaks measured when every block
+    # allocated its own arrays (3.54 and 3.39 BLOCK_BYTES), plus one block
+    # shared by the slots: the workspaces may cost at most that much.
+    def test_minibatch_epoch_holds_one_batch(self, clouds):
+        source, current, refs = clouds
+        bank = initialize_bank(source, refs)
+        order = np.asarray(SplitMix64.stream("bounded_step", 0).permutation(self.N), dtype=int)
+
+        def epoch():
+            work = Workspace()  # one epoch's step buffers, as train keeps them
+            for start in range(0, self.N, 256):  # 15 batches of 256 and one of 240
+                batch = order[start : start + 256]
+                minibatch_point_grads(current.points[batch], batch, bank, refs, work)
+
+        assert self.peak_bytes(epoch) <= 4.5 * BLOCK_BYTES
+
+    def test_refreshing_sweep_with_moments(self, clouds):
+        source, current, refs = clouds
+        bank = initialize_bank(source, refs)
+        assert self.peak_bytes(lambda: sweep(bank, current, refs, refresh=True, moments=True)) <= 4.35 * BLOCK_BYTES
+
 
 class TestSweepLoss:
     """The bank's sweep gives quantile_loss_on_points' loss bit for bit, in one block or in blocks of two references and a last one of one."""
@@ -600,10 +633,10 @@ class TestThreadedBlocks:
 
         threads = set()
 
-        def recorded(points, ref_points):
+        def recorded(points, ref_points, work=None):
             threads.add(threading.get_ident())
             time.sleep(1e-3)  # hand over the GIL, so that both threads take blocks
-            return unit_directions(points, ref_points)
+            return unit_directions(points, ref_points, work)
 
         monkeypatch.setattr("quantmatch.loss.unit_directions", recorded)
         monkeypatch.setattr("quantmatch.bank.unit_directions", recorded)
@@ -617,7 +650,7 @@ class TestThreadedBlocks:
         monkeypatch.setattr("quantmatch.loss.THREADS", 2)
         calls = []
 
-        def fn(block):
+        def fn(block, work):
             calls.append((block.start, block.stop, threading.get_ident()))
 
         for_each_block(fn, 4, 2)
@@ -632,7 +665,7 @@ class TestThreadedBlocks:
         monkeypatch.setattr("quantmatch.loss.THREADS", threads)
         ran = []
 
-        def fn(block):
+        def fn(block, work):
             index = block.start // 2
             ran.append(index)
             if index == 1:
@@ -655,7 +688,7 @@ class TestThreadedBlocks:
         try:
             for _ in range(20):
                 ran = []
-                for_each_block(lambda block: ran.append(block.start), 400, 1)
+                for_each_block(lambda block, work: ran.append(block.start), 400, 1)
                 assert sorted(ran) == list(range(0, 400, 2))
         finally:
             sys.setswitchinterval(interval)
@@ -738,10 +771,10 @@ class TestThreadedStep:
         assert len(reference_blocks(b, refs.count * d, 0)) == (b + 1) // 2
         threads = set()
 
-        def recorded(points, ref_points):
+        def recorded(points, ref_points, work=None):
             threads.add(threading.get_ident())
             time.sleep(1e-3)  # hand over the GIL, so that both threads take blocks
-            return unit_directions(points, ref_points)
+            return unit_directions(points, ref_points, work)
 
         monkeypatch.setattr("quantmatch.trainer.unit_directions", recorded)
         assert self.threaded(monkeypatch, yb, batch, bank, refs) == want
@@ -788,3 +821,180 @@ class TestThreadedStep:
                 monkeypatch.setattr(owner, attr, recording(name, getattr(owner, attr)))
         self.threaded(monkeypatch, yb, batch, bank, refs)
         assert ran == {"bank.control_variate_estimate": {threading.get_ident()}}
+
+
+def threaded_cut(monkeypatch, count, plane_size, threads=2):
+    """The block sizes, in order, of a for_each_block pass on `threads` threads."""
+    monkeypatch.setattr("quantmatch.loss.THREADS", threads)
+    blocks = []
+    for_each_block(lambda block, work: blocks.append(block), count, plane_size)
+    blocks.sort(key=lambda block: block.start)
+    assert [block.start for block in blocks] == [0] + [block.stop for block in blocks[:-1]] and blocks[-1].stop == count
+    return [block.stop - block.start for block in blocks]
+
+
+class TestBalancedCut:
+    """A threaded pass is cut into a multiple of THREADS blocks of near-equal size, each within BLOCK_BYTES // THREADS."""
+
+    @pytest.mark.parametrize(
+        "count, plane_size, sizes",
+        [
+            (256, 300 * 8, [64] * 4),    # a scaled_features step's points against (R, d) = (300, 8)
+            (240, 300 * 8, [60] * 4),    # and its short last batch
+            (300, 256 * 8, [75] * 4),    # its batch means' references against (b, d) = (256, 8)
+            (300, 4080 * 8, [8] * 34 + [7] * 4),  # its reference selection and sweeps
+        ],
+    )
+    def test_scaled_features_cuts(self, monkeypatch, count, plane_size, sizes):
+        assert threaded_cut(monkeypatch, count, plane_size) == sizes
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_near_equal_blocks_within_budget(self, monkeypatch, threads):
+        budget = BLOCK_BYTES // threads
+        cuts = 0
+        for plane_size in (2048, 2400, 32640, BLOCK_BYTES // 400, BLOCK_BYTES // 100):
+            for count in range(1, 700, 7):
+                if len(reference_blocks(count, plane_size)) == 1:
+                    continue  # one full block: a plain call, not a threaded pass
+                cuts += 1
+                sizes = threaded_cut(monkeypatch, count, plane_size, threads)
+                case = (threads, plane_size, count, sizes)
+                assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True), case
+                assert len(sizes) % threads == 0, case
+                assert all(8 * plane_size * size <= budget or size <= MIN_BLOCK_REFS for size in sizes), case
+                assert min(sizes) >= MIN_BLOCK_REFS, case
+        assert cuts > 200
+
+    def test_min_block_refs_before_a_multiple_of_threads(self, monkeypatch):
+        """Where the budget holds fewer than MIN_BLOCK_REFS items, rounding up must not cut blocks below it."""
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)  # MIN_BLOCK_REFS = 2 items per block
+        # six blocks would leave blocks of one point, so the cut keeps five
+        assert threaded_cut(monkeypatch, 9, 2) == [2, 2, 2, 2, 1]
+        assert threaded_cut(monkeypatch, 12, 2) == [2] * 6
+        assert threaded_cut(monkeypatch, 14, 2) == [2] * 7  # eight blocks of fewer than two
+        assert threaded_cut(monkeypatch, 15, 2) == [2] * 7 + [1]
+
+
+def fresh_unit_directions(points, ref_points):
+    """unit_directions' arithmetic on fresh arrays, as each block ran before it had a workspace."""
+    cols = np.ascontiguousarray(points.T)
+    units = ref_points.T[:, :, None] - cols[:, None, :]
+    dist = np.sqrt(plane_dot(units, units))
+    mask = dist >= 1e-12
+    if mask.all():
+        units /= dist
+    else:
+        units /= np.where(mask, dist, 1.0)
+        units[:, ~mask] = 0.0
+    return units, dist, mask
+
+
+def fresh_moments(a_units, s_units, a_mean, s_mean):
+    """population_moments' arithmetic on fresh deviation arrays."""
+    da, ds = (np.subtract(units, mean.T[:, :, None], order="C") for units, mean in ((a_units, a_mean), (s_units, s_mean)))
+    return [plane_dot(x, y).mean(axis=1) for x, y in ((da, da), (ds, ds), (da, ds))]
+
+
+def used_workspace(d, count, m):
+    """A workspace that a larger block has used, with every buffer then overwritten by garbage."""
+    rng = SplitMix64.stream("used_workspace", d)
+    work = Workspace()
+    units = unit_directions(rng.normals((m + 3, d)), rng.normals((count + 2, d)), work)[0]
+    population_moments(units, units, work=work)
+    for buf in work.values():
+        buf[...] = True if buf.dtype == bool else np.nan
+    return work
+
+
+def assert_buffered_is_fresh(points, ref_points, snapshot):
+    (m, d), count = points.shape, ref_points.shape[0]
+    work = used_workspace(d, count, m)
+    want = fresh_unit_directions(points, ref_points)
+    got = unit_directions(points, ref_points, work)
+    for name, g, w in zip(("units", "dist", "mask"), got, want):
+        assert g.shape == w.shape and g.flags.c_contiguous and g.tobytes() == w.tobytes(), name
+    want_sums = row_sums(np.ascontiguousarray(want[0].transpose(0, 2, 1)))
+    assert point_sums(got[0], work).tobytes() == want_sums.tobytes()
+    # the snapshot as the bank passes it: a transposed view of point-major planes
+    s_units = np.ascontiguousarray(fresh_unit_directions(snapshot, ref_points)[0].transpose(0, 2, 1)).transpose(0, 2, 1)
+    a_mean, s_mean = want_sums / m, row_sums(np.ascontiguousarray(s_units.transpose(0, 2, 1))) / m
+    want_moments = np.array(fresh_moments(want[0], s_units, a_mean, s_mean))
+    for means in ((a_mean, s_mean), (None, None)):
+        got_moments = np.array(population_moments(got[0], s_units, *means, work))
+        assert got_moments.tobytes() == want_moments.tobytes(), means
+
+
+class TestWorkspaces:
+    """Blocks that reuse their slot's buffers give the bits of blocks with fresh arrays, and a pass keeps one buffer per slot."""
+
+    @pytest.mark.parametrize(
+        "d, count, m",
+        [(1, 5, 9), (3, 1, 9), (3, 5, 1), (1, 1, 1), (2, 7, 40), (8, 4, 17), (9, 3, 6)],
+    )
+    @pytest.mark.parametrize("coincident", [None, 0.0, 1e-13])  # no pair, or one within COINCIDENCE_EPS
+    def test_bit_identical_to_fresh_arrays(self, d, count, m, coincident):
+        rng = SplitMix64.stream("workspaces", 100 * d + 10 * count + m)
+        ref_points = rng.normals((count, d))
+        points = rng.normals((m, d))
+        if coincident is not None:
+            points[m // 2] = ref_points[-1] + coincident
+        assert_buffered_is_fresh(points, ref_points, points + 0.01 * rng.normals((m, d)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases(dims=range(1, 10)))
+    def test_bit_identical_on_kernel_cases(self, case):
+        points, refs, _, snapshot = case
+        assert_buffered_is_fresh(points, refs.quantiles, snapshot)
+
+    def test_epoch_workspace_gives_fresh_bits(self, monkeypatch):
+        """A step in an epoch's used workspace, on a full batch and then a short one, gives the bits of a new workspace."""
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)  # blocks of two points and two references
+        monkeypatch.setattr("quantmatch.loss.THREADS", 2)
+        rng = SplitMix64.stream("epoch_workspace", 0)
+        snapshot = PointCloud(rng.normals((23, 3)))
+        refs = select_references(snapshot, 9, seed=0)
+        bank = initialize_bank(snapshot, refs)
+        order = np.asarray(rng.permutation(23), dtype=int)
+        adapted = snapshot.points + 0.1 * rng.normals((23, 3))
+        work = Workspace()
+        for start in range(0, 23, 8):  # batches of 8, 8 and 7
+            batch = order[start : start + 8]
+            want = minibatch_point_grads(adapted[batch], batch, bank, refs)
+            got = minibatch_point_grads(adapted[batch], batch, bank, refs, work)
+            assert got.tobytes() == want.tobytes()
+            for buf in work.values():
+                buf[...] = True if buf.dtype == bool else np.nan
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_pass_keeps_one_unit_buffer_per_slot(self, monkeypatch, threads):
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)  # blocks of two references or points
+        monkeypatch.setattr("quantmatch.loss.THREADS", threads)
+        passes = []
+
+        def recorded(points, ref_points, work=None):
+            time.sleep(1e-3)  # hand over the GIL, so that both threads take blocks
+            units, dist, mask = unit_directions(points, ref_points, work)
+            passes[-1].append(units.base)  # held, so that no buffer's id is reused
+            return units, dist, mask
+
+        for module in ("loss", "bank", "trainer"):
+            monkeypatch.setattr(f"quantmatch.{module}.unit_directions", recorded)
+        rng = SplitMix64.stream("one_buffer_per_slot", 0)
+        source = PointCloud(rng.normals((30, 3)))
+        current = PointCloud(rng.normals((30, 3)) + 0.3)
+
+        def record(run):
+            passes.append([])
+            return run()
+
+        refs = record(lambda: select_references(source, 11, seed=0))
+        bank = record(lambda: initialize_bank(source, refs))
+        record(lambda: sweep(bank, current, refs, refresh=True, moments=True))
+        record(lambda: quantile_loss_on_points(current.points, refs, want_grad=False))
+        record(lambda: quantile_loss_on_points(current.points, refs))
+        work = Workspace()  # an epoch's steps share one workspace
+        record(lambda: [minibatch_point_grads(current.points[batch], batch, bank, refs, work) for batch in (np.arange(16), np.arange(16, 30))])
+        one_slot = {4, 5}  # the loss with its gradient runs on slot 0; the step's planes stay in the epoch's buffers
+        for i, bases in enumerate(passes):
+            assert len(bases) >= 4, i
+            assert len({id(base) for base in bases}) <= (1 if i in one_slot else threads), i

@@ -202,9 +202,9 @@ class TestUnitBuildCount:
         pairs = []
         build = loss_mod.unit_directions
 
-        def counting_build(points, ref_points):
+        def counting_build(points, ref_points, work=None):
             pairs.append(ref_points.shape[0] * points.shape[0])
-            return build(points, ref_points)
+            return build(points, ref_points, work)
 
         for module in (loss_mod, bank_mod, trainer_mod):
             monkeypatch.setattr(module, "unit_directions", counting_build)
