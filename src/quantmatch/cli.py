@@ -170,6 +170,21 @@ def _section_values(section: str):
         raise ConfigError(f"bad value in [{section}]: {exc}") from exc
 
 
+def _check_squared_distances(section: str, points: np.ndarray) -> None:
+    """A ConfigError naming the section if the squared distances between its cloud's points could overflow.
+
+    Points within radius r of the origin lie at squared distance at most 4 r^2
+    from each other, so the cloud passes when 4 r^2 is finite for its
+    largest norm r; the loss, the paired MSE and exact W2 all square
+    distances between the clouds.
+    """
+    with np.errstate(over="ignore"):
+        bound = 4.0 * float(np.max(np.sum(points * points, axis=1)))
+    if not math.isfinite(bound):
+        largest = float(np.max(np.abs(points)))
+        raise ConfigError(f"bad value in [{section}]: its cloud's squared distances overflow (largest coordinate {largest:.3g})")
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Train per the spec and write trace.csv, summary.json, and cloud dumps."""
     started = time.perf_counter()
@@ -182,6 +197,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
     fmap = _construct("feature_map", FEATURE_MAPS, {"kind": "identity", **spec.feature_map}, in_dim=clean.cloud.dim)
     adapter = _construct("adapter", ADAPTERS, {"kind": "affine", **spec.adapter}, dim=corrupted.cloud.dim)
     source_feats = PointCloud(fmap.forward_cloud(clean.cloud.points))
+    for section, points in (("dataset", clean.cloud.points), ("corruption", corrupted.cloud.points), ("feature_map", source_feats.points)):
+        _check_squared_distances(section, points)
 
     cfg = spec.train
     if cfg.batch_size == 0:
@@ -276,7 +293,7 @@ def _report(lines: list[str], ok: bool, name: str, detail: str) -> bool:
 def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
     rng = SplitMix64.stream("verify_inverse", seed)
     worst = 0.0
-    failures = iterations = snaps = fallbacks = halvings = 0
+    failures = iterations = snaps = weiszfeld_steps = fallbacks = halvings = 0
     for _ in range(trials):
         n = 10 + rng.randbelow(191)
         d = 2 + rng.randbelow(15)
@@ -289,10 +306,14 @@ def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
         failures += report.residual > 1e-6
         iterations += report.iterations
         snaps += report.on_support
+        weiszfeld_steps += report.weiszfeld_steps
         fallbacks += report.fallbacks
         halvings += report.halvings
     ok = failures == 0
-    counters = f"{iterations} iterations, {snaps} on-support snaps, {fallbacks} fallbacks, {halvings} step halvings"
+    counters = (
+        f"{iterations} iterations, {snaps} on-support snaps, {weiszfeld_steps} Weiszfeld steps, "
+        f"{fallbacks} fallbacks, {halvings} step halvings"
+    )
     return _report(lines, ok, "inverse-map", f"{trials - failures}/{trials} residuals <= 1e-6, worst {worst:.3e}; {counters}")
 
 

@@ -68,7 +68,9 @@ class Corruption:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError("linear corruption needs a square matrix")
-        if abs(np.linalg.det(m)) <= 1e-9:
+        with np.errstate(over="ignore"):  # a determinant too large for a float is far from singular
+            det = np.linalg.det(m)
+        if abs(det) <= 1e-9:
             raise SingularCorruptionError("corruption matrix is numerically singular")
         return cls(kind="linear", matrix=m)
 

@@ -145,6 +145,7 @@ class SolverReport:
     converged: bool
     on_support: bool = False
     loss_history: tuple[float, ...] | None = None
+    weiszfeld_steps: int = 0  # Weiszfeld steps taken in place of a rejected, singular or non-finite Newton step
     fallbacks: int = 0  # Weiszfeld steps replaced by gradient descent
     halvings: int = 0   # step halvings, in the fallback and when stepping off a data point
 
@@ -181,16 +182,42 @@ def _loss_at(pts: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple[float, np.n
     return loss, diff, dist
 
 
-def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> SolverReport:
-    """Solve for the quantile at index u by damped Weiszfeld iteration.
+def _newton_candidate(q: np.ndarray, diff: np.ndarray, weights: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """The Newton step q - H^-1 grad from an off-support iterate q, or None where it does not exist.
 
-    The fixed-point map Q <- (sum_i Z_i/d_i + n*u) / (sum_i 1/d_i) comes from
-    the stationarity condition index(Q) = u.  Steps that would increase the
-    objective fall back to halving-step gradient descent, so accepted
+    diff holds q - Z_i, weights w_i = 1/||q - Z_i|| and grad = index(q) - u.
+    With unit vectors v_i = (q - Z_i) w_i, the objective's Hessian is
+    H = (sum_i w_i I - sum_i w_i v_i v_i^T) / n, whose second term is the
+    Gram matrix of the rows sqrt(w_i) v_i.  In exact arithmetic H is zero for
+    d = 1, and singular at an iterate on the line of a collinear cloud.  An
+    exactly singular H or a non-finite step gives None; a nearly singular H
+    gives a far step whose loss the solver rejects.
+    """
+    n, d = diff.shape
+    rows = diff * (weights * np.sqrt(weights))[:, None]
+    hessian = (np.add.reduce(weights) * np.eye(d) - rows.T.dot(rows)) / n
+    try:
+        step = np.linalg.solve(hessian, grad)
+    except np.linalg.LinAlgError:
+        return None
+    candidate = q - step
+    return candidate if np.isfinite(candidate).all() else None
+
+
+def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> SolverReport:
+    """Solve for the quantile at index u by Newton steps, with damped Weiszfeld steps behind them.
+
+    The stationarity condition index(Q) = u gives two candidate steps.  The
+    first is Newton's, Q <- Q - H^-1 (index(Q) - u), with H the objective's
+    Hessian (Chaudhuri 1996); it converges quadratically near the quantile.
+    Where H is singular, the step is not finite or it would increase the
+    objective, the Weiszfeld fixed-point map Q <- (sum_i Z_i/d_i + n*u) /
+    (sum_i 1/d_i) is taken instead.  A Weiszfeld step that would increase the
+    objective falls back in turn to halving-step gradient descent, so accepted
     iterations never increase phi_loss.  Iterates landing on a data point are
     snapped there when the subgradient optimality test passes.  Each iterate's
     distances to the cloud are computed once: the pass that gives its loss
-    also gives the next step's weights and gradient.  The quantile is
+    also gives the next step's weights, gradient and Hessian.  The quantile is
     scale-equivariant, so a cloud with a coordinate above LARGE_COORDINATE is
     solved scaled by 2^-e, with its largest coordinate in [0.5, 1), and its
     quantile and losses are scaled back by 2^e.
@@ -212,7 +239,7 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
     loss, diff, dist = _loss_at(pts, u, q)
     losses = [loss] if track_losses else None
     on_support = False
-    iterations = fallbacks = halvings = 0
+    iterations = weiszfeld_steps = fallbacks = halvings = 0
 
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         nearest = dist.argmin()
@@ -242,9 +269,13 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         if math.sqrt(grad.dot(grad)) <= DEFAULT_TOL:
             break
 
-        candidate = (pts.T.dot(weights) + n * u) / np.add.reduce(weights)
-        at_candidate = _loss_at(pts, u, candidate)
         slack = 4.0 * _FLOAT_EPS * max(1.0, abs(loss))  # absorb ulp noise only
+        candidate = _newton_candidate(q, diff, weights, grad)
+        at_candidate = None if candidate is None else _loss_at(pts, u, candidate)
+        if at_candidate is None or at_candidate[0] > loss + slack:
+            weiszfeld_steps += 1
+            candidate = (pts.T.dot(weights) + n * u) / np.add.reduce(weights)
+            at_candidate = _loss_at(pts, u, candidate)
         if at_candidate[0] > loss + slack:
             # halving-step gradient descent fallback
             fallbacks += 1
@@ -272,6 +303,7 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         converged=residual <= DEFAULT_TOL,
         on_support=on_support,
         loss_history=tuple(losses) if losses is not None else None,
+        weiszfeld_steps=weiszfeld_steps,
         fallbacks=fallbacks,
         halvings=halvings,
     )

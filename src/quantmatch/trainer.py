@@ -167,9 +167,10 @@ def _chain_param_grad(
 
 
 def rms_spread(points: np.ndarray) -> float:
-    """Root-mean-square distance of the points from their mean."""
-    centered = points - points.mean(axis=0)
-    return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
+    """Root-mean-square distance of the points from their mean; inf for a cloud too wide to square."""
+    with np.errstate(over="ignore"):  # an overflowing spread is the divergence stop's signal
+        centered = points - points.mean(axis=0)
+        return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
 
 
 def _variance_sample(moments, b: int, n: int):

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,47 @@ class TestRun:
         rows = (out / "trace.csv").read_text().splitlines()
         assert len(rows) == 1 + payload["epoch"]  # header plus the records before the stop
 
+    def test_divergence_to_overflow_raises_no_warning(self, tmp_path, capsys):
+        # the adapted cloud's spread overflows to inf, the stop's intended signal; under
+        # warnings-as-errors a warning on the way would surface as a RuntimeWarning error
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace("learning_rate = 0.3", "learning_rate = 1e300"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["error"] == "diverged"
+        assert payload["spread_ratio"] is None
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "old, new, section",
+        [
+            ("kind = rotation\nangle_deg = 180", "kind = shift\noffset = 1e200, 0", "corruption"),
+            ("kind = rotation\nangle_deg = 180", "kind = gaussian_noise\nsigma = 1e200", "corruption"),
+            ("kind = rotation\nangle_deg = 180", "kind = linear\nmatrix = 1e200, 0, 0, 1e200", "corruption"),
+            ("noise_sigma = 0.03", "noise_sigma = 1e200", "dataset"),
+        ],
+        ids=["shift", "gaussian_noise", "linear", "dataset_noise"],
+    )
+    def test_overflowing_cloud_exits_2_before_training(self, tmp_path, capsys, monkeypatch, old, new, section):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a cloud whose squared distances overflow")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["error"] == "config"
+        assert f"[{section}]" in payload["message"] and "squared distances overflow" in payload["message"]
+        assert captured.err == ""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
     def test_unusable_output_dir_exits_2_before_training(self, tiny_config, tmp_path, capsys, monkeypatch, under):
         taken = tmp_path / "taken"
@@ -346,7 +388,7 @@ class TestVerify:
     def test_inverse_map_suite_small(self, capsys):
         assert main(["verify", "inverse-map", "--trials", "10", "--seed", "0"]) == 0
         line = capsys.readouterr().out.strip()
-        assert re.fullmatch(r"PASS inverse-map: 10/10 residuals <= 1e-6, worst \S+; [1-9]\d* iterations, 0 on-support snaps, \d+ fallbacks, \d+ step halvings", line)
+        assert re.fullmatch(r"PASS inverse-map: 10/10 residuals <= 1e-6, worst \S+; [1-9]\d* iterations, 0 on-support snaps, \d+ Weiszfeld steps, \d+ fallbacks, \d+ step halvings", line)
 
     def test_minibatch_gradients_suite(self, capsys):
         assert main(["verify", "minibatch-gradients"]) == 0
