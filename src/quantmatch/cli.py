@@ -293,7 +293,7 @@ def _report(lines: list[str], ok: bool, name: str, detail: str) -> bool:
 def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
     rng = SplitMix64.stream("verify_inverse", seed)
     worst = 0.0
-    failures = iterations = snaps = weiszfeld_steps = fallbacks = halvings = 0
+    failures = iterations = snaps = weiszfeld_steps = 0
     for _ in range(trials):
         n = 10 + rng.randbelow(191)
         d = 2 + rng.randbelow(15)
@@ -307,13 +307,8 @@ def verify_inverse_map(trials: int, seed: int, lines: list[str]) -> bool:
         iterations += report.iterations
         snaps += report.on_support
         weiszfeld_steps += report.weiszfeld_steps
-        fallbacks += report.fallbacks
-        halvings += report.halvings
     ok = failures == 0
-    counters = (
-        f"{iterations} iterations, {snaps} on-support snaps, {weiszfeld_steps} Weiszfeld steps, "
-        f"{fallbacks} fallbacks, {halvings} step halvings"
-    )
+    counters = f"{iterations} iterations, {snaps} on-support snaps, {weiszfeld_steps} Weiszfeld steps"
     return _report(lines, ok, "inverse-map", f"{trials - failures}/{trials} residuals <= 1e-6, worst {worst:.3e}; {counters}")
 
 

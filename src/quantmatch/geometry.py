@@ -102,8 +102,7 @@ def phi_loss(cloud: PointCloud, u, q) -> float:
     if u.shape[0] != cloud.dim or q.shape[0] != cloud.dim:
         raise DimensionMismatchError("phi_loss: dimension mismatch")
     _check_index(u)
-    diff = cloud.points - q
-    return float(np.mean(np.linalg.norm(diff, axis=1) + diff @ u))
+    return _loss_at(cloud.points, u, q)[0]
 
 
 def quantile_index(cloud: PointCloud, z) -> np.ndarray:
@@ -129,12 +128,6 @@ def _average_direction(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return diff[keep].T.dot(1.0 / dist[keep]) / m
 
 
-def maybe_nonunique(cloud: PointCloud) -> bool:
-    """Whether the cloud lies in a proper affine subspace, where a quantile need not be unique."""
-    pts = cloud.points
-    return bool(np.linalg.matrix_rank(pts - pts.mean(axis=0)) < cloud.dim)
-
-
 @dataclass(frozen=True)
 class SolverReport:
     """Outcome of a geometric-quantile solve."""
@@ -146,8 +139,6 @@ class SolverReport:
     on_support: bool = False
     loss_history: tuple[float, ...] | None = None
     weiszfeld_steps: int = 0  # Weiszfeld steps taken in place of a rejected, singular or non-finite Newton step
-    fallbacks: int = 0  # Weiszfeld steps replaced by gradient descent
-    halvings: int = 0   # step halvings, in the fallback and when stepping off a data point
 
 
 def _on_support_pull(pts: np.ndarray, r: int, dist: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float, float, int]:
@@ -168,11 +159,10 @@ def _on_support_pull(pts: np.ndarray, r: int, dist: np.ndarray, u: np.ndarray) -
 
 
 def _loss_at(pts: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """phi_loss at q with its q - Z_i and their norms, bit for bit as phi_loss computes it.
+    """phi_loss at q with its differences q - Z_i and their norms.
 
-    q - Z_i is the exact negation of phi_loss's Z_i - q, and the norm is
-    numpy's own axis-1 norm; a non-finite loss is checked for a non-finite q,
-    the one case in which phi_loss rejects its input here.
+    A non-finite q raises the ValueError of phi_loss's input check; it is
+    looked for only when the loss is not finite.
     """
     diff = q - pts
     dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
@@ -212,15 +202,21 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
     Hessian (Chaudhuri 1996); it converges quadratically near the quantile.
     Where H is singular, the step is not finite or it would increase the
     objective, the Weiszfeld fixed-point map Q <- (sum_i Z_i/d_i + n*u) /
-    (sum_i 1/d_i) is taken instead.  A Weiszfeld step that would increase the
-    objective falls back in turn to halving-step gradient descent, so accepted
-    iterations never increase phi_loss.  Iterates landing on a data point are
-    snapped there when the subgradient optimality test passes.  Each iterate's
-    distances to the cloud are computed once: the pass that gives its loss
-    also gives the next step's weights, gradient and Hessian.  The quantile is
-    scale-equivariant, so a cloud with a coordinate above LARGE_COORDINATE is
-    solved scaled by 2^-e, with its largest coordinate in [0.5, 1), and its
-    quantile and losses are scaled back by 2^e.
+    (sum_i 1/d_i) is taken instead.  An iterate on a data point is snapped
+    there when the subgradient optimality test passes, and otherwise takes
+    the Vardi-Zhang step off it (Vardi & Zhang 2000).  A rejected Newton
+    step also tests the nearest data point, and snaps there when its pull
+    lies inside the subgradient ball by more than n*DEFAULT_TOL, a margin in
+    which no iterate near the point can pass the convergence test.  The
+    Weiszfeld and Vardi-Zhang steps majorize and minimize, so they cannot
+    raise phi_loss beyond rounding: a candidate is accepted when its loss is
+    at most the current one plus a few ulps, and the solve stops as stalled
+    otherwise.  Each iterate's distances to the cloud are computed once: the
+    pass that gives its loss also gives the next step's weights, gradient and
+    Hessian.  The quantile is scale-equivariant, so a cloud with a coordinate
+    above LARGE_COORDINATE is solved scaled by 2^-e, with its largest
+    coordinate in [0.5, 1), and its quantile and losses are scaled back by
+    2^e.
     """
     pts = cloud.points
     n, d = pts.shape
@@ -239,62 +235,50 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
     loss, diff, dist = _loss_at(pts, u, q)
     losses = [loss] if track_losses else None
     on_support = False
-    iterations = weiszfeld_steps = fallbacks = halvings = 0
+    iterations = weiszfeld_steps = 0
 
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         nearest = dist.argmin()
+        ceiling = loss + 4.0 * _FLOAT_EPS * max(1.0, abs(loss))  # the slack absorbs ulp noise only
 
         if dist[nearest] < COINCIDENCE_EPS:
             pull, pull_norm, inv_sum, k = _on_support_pull(pts, nearest, dist, u)
             if pull_norm <= k:
-                q = pts[nearest].copy()
                 on_support = True
                 break
-            # not optimal: step off the point along the descent direction
+            # not optimal: the Vardi-Zhang step off the point along the descent direction
             step = (pull_norm - k) / inv_sum
             candidate = pts[nearest] - step * pull / pull_norm
             at_candidate = _loss_at(pts, u, candidate)
-            while at_candidate[0] > loss and step > 1e-18:
-                step *= 0.5
-                halvings += 1
-                candidate = pts[nearest] - step * pull / pull_norm
+        else:
+            weights = 1.0 / dist
+            grad = diff.T.dot(weights) / n - u  # = index(q) - u
+            if math.sqrt(grad.dot(grad)) <= DEFAULT_TOL:
+                break
+            candidate = _newton_candidate(q, diff, weights, grad)
+            at_candidate = None if candidate is None else _loss_at(pts, u, candidate)
+            if at_candidate is None or at_candidate[0] > ceiling:
+                if candidate is not None:
+                    # Newton overshot: test the nearest data point, with the distances from it
+                    offsets = pts - pts[nearest]
+                    _, pull_norm, _, k = _on_support_pull(pts, nearest, np.sqrt(np.add.reduce(offsets * offsets, axis=1)), u)
+                    if pull_norm < k - n * DEFAULT_TOL:
+                        on_support = True
+                        break
+                weiszfeld_steps += 1
+                candidate = (pts.T.dot(weights) + n * u) / np.add.reduce(weights)
                 at_candidate = _loss_at(pts, u, candidate)
-            q, (loss, diff, dist) = candidate, at_candidate
-            if losses is not None:
-                losses.append(loss)
-            continue
-
-        weights = 1.0 / dist
-        grad = diff.T.dot(weights) / n - u  # = index(q) - u
-        if math.sqrt(grad.dot(grad)) <= DEFAULT_TOL:
-            break
-
-        slack = 4.0 * _FLOAT_EPS * max(1.0, abs(loss))  # absorb ulp noise only
-        candidate = _newton_candidate(q, diff, weights, grad)
-        at_candidate = None if candidate is None else _loss_at(pts, u, candidate)
-        if at_candidate is None or at_candidate[0] > loss + slack:
-            weiszfeld_steps += 1
-            candidate = (pts.T.dot(weights) + n * u) / np.add.reduce(weights)
-            at_candidate = _loss_at(pts, u, candidate)
-        if at_candidate[0] > loss + slack:
-            # halving-step gradient descent fallback
-            fallbacks += 1
-            step = float(np.linalg.norm(candidate - q))
-            candidate = q - step * grad
-            at_candidate = _loss_at(pts, u, candidate)
-            while at_candidate[0] > loss + slack and step > 1e-18:
-                step *= 0.5
-                halvings += 1
-                candidate = q - step * grad
-                at_candidate = _loss_at(pts, u, candidate)
-            if at_candidate[0] > loss + slack:
-                break  # stalled at numerical precision
+        if at_candidate[0] > ceiling:
+            break  # stalled at numerical precision
         q, (loss, diff, dist) = candidate, at_candidate
         if losses is not None:
             losses.append(loss)
 
-    # the loop's last differences and distances are at q, unless q was snapped to a data point
-    index = quantile_index(cloud, q) if on_support else _average_direction(diff, dist)
+    if on_support:
+        q = pts[nearest].copy()
+        index = quantile_index(cloud, q)
+    else:
+        index = _average_direction(diff, dist)  # the loop's last differences and distances are at q
     residual = float(np.linalg.norm(index - u))
     return SolverReport(
         quantile=q,
@@ -304,6 +288,4 @@ def geometric_quantile(cloud: PointCloud, u, track_losses: bool = False) -> Solv
         on_support=on_support,
         loss_history=tuple(losses) if losses is not None else None,
         weiszfeld_steps=weiszfeld_steps,
-        fallbacks=fallbacks,
-        halvings=halvings,
     )

@@ -16,7 +16,6 @@ from quantmatch.geometry import (
     SolverReport,
     _check_index,
     as_vector,
-    maybe_nonunique,
 )
 from quantmatch.rng import SplitMix64
 
@@ -219,11 +218,6 @@ class TestGeometricQuantile:
         with pytest.raises(InvalidIndexError):
             geometric_quantile(cloud, [1.0, 0.0])
 
-    def test_collinear_cloud_flagged(self):
-        cloud = PointCloud([[0, 0], [1, 0], [2, 0], [3, 0]])
-        assert maybe_nonunique(cloud)
-        assert not maybe_nonunique(PointCloud([[0, 0], [1, 0], [0, 1]]))
-
     def test_on_support_snap(self):
         # index taken exactly at a data point's own index: that point is optimal
         cloud = PointCloud([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [5.0, 5.0]])
@@ -253,6 +247,18 @@ class TestGeometricQuantile:
             assert np.linalg.norm(pull) <= 2.0
         else:
             assert rep.converged
+
+
+def verify_draws(seed):
+    """The (cloud, u) draws of `quantmatch verify inverse-map --seed seed`, in order."""
+    rng = SplitMix64.stream("verify_inverse", seed)
+    while True:
+        n = 10 + rng.randbelow(191)
+        d = 2 + rng.randbelow(15)
+        cloud = PointCloud(rng.normals((n, d)))
+        direction = rng.normals(d)
+        direction /= np.linalg.norm(direction)
+        yield cloud, (0.9 * rng.uniform()) * direction
 
 
 def reference_quantile(cloud, u, track_losses=False):
@@ -353,15 +359,8 @@ class TestSolverOracle:
     """The Newton solver against the Weiszfeld reference: the same answers, in at most 0.35 of its iterations."""
 
     def test_verify_draws_match_reference(self):
-        rng = SplitMix64.stream("verify_inverse", 0)  # the draws of `quantmatch verify inverse-map`
         iterations = reference_iterations = 0
-        for _ in range(300):
-            n = 10 + rng.randbelow(191)
-            d = 2 + rng.randbelow(15)
-            cloud = PointCloud(rng.normals((n, d)))
-            direction = rng.normals(d)
-            direction /= np.linalg.norm(direction)
-            u = (0.9 * rng.uniform()) * direction
+        for cloud, u in itertools.islice(verify_draws(0), 300):
             got, want = geometric_quantile(cloud, u, track_losses=True), reference_quantile(cloud, u, True)
             assert_agrees_with_reference(cloud, u, got, want)
             iterations += got.iterations
@@ -394,7 +393,7 @@ class TestSolverOracle:
 
 
 class TestSolverCounters:
-    """weiszfeld_steps, fallbacks and halvings count what the solver did; an uphill trial loss is forced by inflating _loss_at."""
+    """weiszfeld_steps counts what the solver did, and an uphill candidate stops the solve; an uphill trial loss is forced by inflating _loss_at."""
 
     @staticmethod
     def solve_with_uphill_calls(monkeypatch, cloud, u, uphill):
@@ -406,25 +405,29 @@ class TestSolverCounters:
             return (loss + 1.0 if len(calls) in uphill else loss), diff, dist
 
         monkeypatch.setattr(geometry, "_loss_at", inflated)
-        return geometric_quantile(cloud, u)
+        return geometric_quantile(cloud, u, track_losses=True), calls
 
     def test_plain_solve_counts_nothing(self):
         rep = geometric_quantile(PointCloud(SplitMix64.stream("counters", 0).normals((30, 3))), [0.2, -0.1, 0.3])
-        assert (rep.weiszfeld_steps, rep.fallbacks, rep.halvings) == (0, 0, 0)
+        assert rep.weiszfeld_steps == 0
 
-    def test_fallback_and_its_halvings(self, monkeypatch):
+    def test_uphill_weiszfeld_candidate_stalls(self, monkeypatch):
         cloud = PointCloud(SplitMix64.stream("counters", 0).normals((30, 3)))
-        # call 2 is the first Newton candidate, 3 the Weiszfeld candidate, 4 the fallback's full step, 5 its first halving
-        rep = self.solve_with_uphill_calls(monkeypatch, cloud, np.array([0.2, -0.1, 0.3]), uphill=(2, 3, 4, 5))
-        assert (rep.weiszfeld_steps, rep.fallbacks, rep.halvings) == (1, 1, 2)
-        assert rep.converged
+        # call 1 is the loss at the mean, 2 the first Newton candidate, 3 the Weiszfeld candidate
+        rep, calls = self.solve_with_uphill_calls(monkeypatch, cloud, np.array([0.2, -0.1, 0.3]), uphill=(2, 3))
+        assert len(calls) == 3
+        assert (rep.iterations, rep.weiszfeld_steps, len(rep.loss_history)) == (1, 1, 1)
+        assert rep.quantile.tobytes() == cloud.points.mean(axis=0).tobytes()
+        assert not rep.on_support and not rep.converged
 
-    def test_halvings_stepping_off_a_data_point(self, monkeypatch):
-        # the solve starts at the mean (0, 0), a data point; call 2 is the step off it
+    def test_uphill_step_off_a_data_point_stalls(self, monkeypatch):
+        # the solve starts at the mean (0, 0), a data point whose pull has norm 4.5 > 1; call 2 is the step off it
         cloud = PointCloud([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
-        rep = self.solve_with_uphill_calls(monkeypatch, cloud, np.array([0.9, 0.0]), uphill=(2,))
-        assert (rep.fallbacks, rep.halvings) == (0, 1)
-        assert rep.converged
+        rep, calls = self.solve_with_uphill_calls(monkeypatch, cloud, np.array([0.9, 0.0]), uphill=(2,))
+        assert len(calls) == 2
+        assert (rep.iterations, rep.weiszfeld_steps, len(rep.loss_history)) == (1, 0, 1)
+        assert np.all(rep.quantile == 0.0)
+        assert not rep.on_support and not rep.converged
 
     @pytest.mark.parametrize("solve", ["infinite", "singular"])
     def test_failed_newton_solve_takes_weiszfeld_steps(self, monkeypatch, solve):
@@ -441,6 +444,27 @@ class TestSolverCounters:
         # every step but the last iteration's convergence test is Weiszfeld's
         assert rep.weiszfeld_steps == rep.iterations - 1 > 0
         assert rep.converged
+
+
+class TestNearSnap:
+    """A rejected Newton step next to a data point that is the exact minimizer snaps there.
+
+    Without the snap, Weiszfeld closes in on such a point linearly: seed 0
+    draw 217 took 100 iterations, and seed 4 draw 438 stopped at the cap,
+    unconverged, next to the point.
+    """
+
+    @pytest.mark.parametrize("seed, draw", [(0, 217), (4, 438)])
+    def test_verify_draw_ends_on_support(self, seed, draw):
+        cloud, u = next(itertools.islice(verify_draws(seed), draw, None))
+        rep = geometric_quantile(cloud, u)
+        assert rep.on_support
+        assert rep.iterations <= 5
+        # the certificate: the answer is a data point whose pull lies in the unit subgradient ball
+        away = np.linalg.norm(cloud.points - rep.quantile, axis=1) >= COINCIDENCE_EPS
+        assert np.count_nonzero(~away) == 1
+        diff = rep.quantile - cloud.points[away]
+        assert np.linalg.norm(diff.T.dot(1.0 / np.linalg.norm(diff, axis=1)) - cloud.n * u) <= 1.0
 
 
 class TestPointCloud:
