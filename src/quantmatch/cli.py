@@ -27,7 +27,7 @@ from .datasets import Corruption, LabeledCloud, apply_corruption, cloud_to_csv, 
 from .geometry import PointCloud, geometric_quantile
 from .loss import quantile_loss_on_points, select_references
 from .rng import SplitMix64
-from .trainer import ConfigError, TrainConfig, _chain_param_grad, _variance_sample, minibatch_point_grads, train
+from .trainer import SUMMARY_METRICS, ConfigError, TrainConfig, _chain_param_grad, _variance_sample, minibatch_point_grads, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -99,10 +99,10 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal text: a % is a %
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     unknown = []
@@ -233,37 +233,16 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     first, last = trace.records[0], trace.records[-1]
     diverged = trace.divergence is not None
-    mse_plateau = (
-        not diverged
-        and first.paired_mse is not None
-        and last.paired_mse is not None
-        and first.paired_mse > 1e-12
-        and last.paired_mse > 0.5 * first.paired_mse
-    )
+    # training ran paired, so every record has its paired MSE
+    mse_plateau = not diverged and first.paired_mse > 1e-12 and last.paired_mse > 0.5 * first.paired_mse
     summary = {
-        "config": {
-            "name": spec.name,
-            "dataset": spec.dataset,
-            "corruption": spec.corruption,
-            "adapter": spec.adapter,
-            "feature_map": spec.feature_map,
-            "train": asdict(cfg),
-            "out_dir": str(spec.out_dir),
-        },
-        "initial_metrics": {
-            "quantile_loss": first.quantile_loss,
-            "paired_mse": first.paired_mse,
-            "wasserstein2": first.wasserstein2,
-        },
-        "final_metrics": {
-            "quantile_loss": last.quantile_loss,
-            "paired_mse": last.paired_mse,
-            "wasserstein2": last.wasserstein2,
-        },
+        "config": {**asdict(spec), "train": asdict(cfg), "out_dir": str(spec.out_dir)},
+        "initial_metrics": {name: getattr(first, name) for name in SUMMARY_METRICS},
+        "final_metrics": {name: getattr(last, name) for name in SUMMARY_METRICS},
         "adapter_params": [float(v) for v in adapter.params],
         "flags": {
             "diverged": diverged,
-            "mse_plateau": bool(mse_plateau),
+            "mse_plateau": mse_plateau,
             "wasserstein_skipped": any("wasserstein_skipped" in r.flag for r in trace.records),
             "aborted_steps": trace.aborted_steps,
         },

@@ -42,15 +42,9 @@ from .loss import (
 from .oracles import MAX_EXACT_SIZE, paired_mse, wasserstein2
 from .rng import SplitMix64
 
-TRACE_COLUMNS = (
-    "epoch",
-    "quantile_loss",
-    "paired_mse",
-    "wasserstein2",
-    "crude_var",
-    "control_var",
-    "grad_norm",
-)
+# the full-data metrics of a record; summary.json reports them at the first and the last record
+SUMMARY_METRICS = ("quantile_loss", "paired_mse", "wasserstein2")
+TRACE_COLUMNS = ("epoch", *SUMMARY_METRICS, "crude_var", "control_var", "grad_norm")
 
 # a run has diverged once its adapted cloud spreads this many times wider
 # than the source features (or than its own start, if that is wider)
@@ -118,22 +112,12 @@ class RunTrace:
         return np.asarray([v for v in vals if v is not None], dtype=float)
 
     def to_csv(self, path) -> None:
-        """Deterministic trace, so reruns are byte-identical."""
+        """Deterministic trace, so reruns are byte-identical: each field is its value's repr, or empty for None."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
             for r in self.records:
-                writer.writerow(
-                    [
-                        r.epoch,
-                        repr(r.quantile_loss),
-                        "" if r.paired_mse is None else repr(r.paired_mse),
-                        "" if r.wasserstein2 is None else repr(r.wasserstein2),
-                        repr(r.crude_var),
-                        repr(r.control_var),
-                        repr(r.grad_norm),
-                    ]
-                )
+                writer.writerow("" if (v := getattr(r, name)) is None else repr(v) for name in TRACE_COLUMNS)
 
 
 def sgd_step(
@@ -317,23 +301,28 @@ def train(
     n = target.n
     rng = SplitMix64.stream("trainer_batches", cfg.seed)
     velocity = np.zeros_like(adapter.params)
-    bank: MemoryBank | None = None
+    # epoch 0's sweep fills the bank
+    bank = None if cfg.full_batch else MemoryBank.empty(source_feats.dim, refs.count, n)
     trace = RunTrace()
 
+    def step(x: np.ndarray, transformed: np.ndarray, point_grads: np.ndarray) -> float:
+        """One SGD update from the point gradients at x's forward; a non-finite gradient is counted and refused."""
+        nonlocal adapter, velocity
+        param_grad = _chain_param_grad(adapter, fmap, x, transformed, point_grads)
+        try:
+            adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
+        except NonFiniteGradientError:
+            trace.aborted_steps += 1
+        return float(np.linalg.norm(param_grad))
+
     for epoch in range(cfg.epochs + 1):
-        flag = ""
+        aborted = trace.aborted_steps
         grad_norm = 0.0
 
         if epoch > 0 and cfg.full_batch:
             # the previous record's forward is at the current parameters
             _, point_grads = quantile_loss_on_points(adapted, refs)
-            param_grad = _chain_param_grad(adapter, fmap, target.points, transformed, point_grads)
-            grad_norm = float(np.linalg.norm(param_grad))
-            try:
-                adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
-            except NonFiniteGradientError:
-                flag = "nonfinite_grad"
-                trace.aborted_steps += 1
+            grad_norm = step(target.points, transformed, point_grads)
         elif epoch > 0:
             order = np.asarray(rng.permutation(n), dtype=int)
             step_work = Workspace()  # the epoch's step buffers, freed before the record's sweep
@@ -341,15 +330,7 @@ def train(
                 batch = order[start : start + cfg.batch_size]
                 xb = target.points[batch]
                 tb = adapter.forward_cloud(xb)
-                yb = fmap.forward_cloud(tb)
-                point_grads = minibatch_point_grads(yb, batch, bank, refs, step_work)
-                param_grad = _chain_param_grad(adapter, fmap, xb, tb, point_grads)
-                grad_norm = float(np.linalg.norm(param_grad))
-                try:
-                    adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
-                except NonFiniteGradientError:
-                    flag = "nonfinite_grad"
-                    trace.aborted_steps += 1
+                grad_norm = step(xb, tb, minibatch_point_grads(fmap.forward_cloud(tb), batch, bank, refs, step_work))
             del step_work
 
         transformed = adapter.forward_cloud(target.points)
@@ -363,12 +344,10 @@ def train(
             break
         on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
         swept = None
-        if not cfg.full_batch:
+        if bank is not None:
             # one pass over the references gives the record's loss, the
             # variance moments against the outgoing snapshot and, when due,
-            # the refresh for the next epoch; epoch 0 fills a new bank
-            if bank is None:
-                bank = MemoryBank.empty(adapted.shape[1], refs.count, n)
+            # the refresh for the next epoch
             refresh = epoch < cfg.epochs and epoch % cfg.snapshot_every == 0
             moments = epoch > 0 and cfg.batch_size < n
             swept = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=moments)
@@ -384,7 +363,8 @@ def train(
         if swept is not None and swept.moments is not None:
             rec.crude_var, rec.control_var = _variance_sample(swept.moments, cfg.batch_size, n)
         rec.grad_norm = grad_norm
-        rec.flag = ";".join(x for x in (rec.flag, flag) if x)
+        if trace.aborted_steps > aborted:
+            rec.flag = ";".join(x for x in (rec.flag, "nonfinite_grad") if x)
         trace.records.append(rec)
         trace.adapted, trained = adapted, adapter
 

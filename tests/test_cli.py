@@ -10,6 +10,7 @@ from quantmatch.adapters import Adapter
 from quantmatch import cli
 from quantmatch.cli import load_spec, main
 from quantmatch.loss import BLOCK_BYTES
+from quantmatch.trainer import train
 
 TINY_CONFIG = """
 [experiment]
@@ -52,6 +53,19 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CONFIG)
     return path
+
+
+def kept_traces(monkeypatch) -> list:
+    """The RunTrace of each training that run_experiment starts from now on, in order."""
+    traces = []
+
+    def keep_trace(*args, **kwargs):
+        adapter, trace = train(*args, **kwargs)
+        traces.append(trace)
+        return adapter, trace
+
+    monkeypatch.setattr(cli, "train", keep_trace)
+    return traces
 
 
 class TestRun:
@@ -307,6 +321,7 @@ class TestRun:
         assert not (tmp_path / "a").exists()
 
     def test_aborted_steps_count_steps_not_epochs(self, tmp_path, monkeypatch):
+        traces = kept_traces(monkeypatch)
         text = TINY_CONFIG.replace("batch_size = 60", "batch_size = 16").replace("full_batch = true", "full_batch = false")
         path = tmp_path / "c.cfg"
         path.write_text(text.replace("epochs = 10", "epochs = 2"))
@@ -323,6 +338,31 @@ class TestRun:
         assert len(calls) == 8
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["flags"]["aborted_steps"] == 2
+        # two refused batches in one epoch flag its record once
+        assert [r.flag for r in traces[0].records] == ["", "nonfinite_grad", ""]
+
+        # full batch: the step of epoch 2 is refused, so the adapter does not move in that epoch
+        loss_on_points = cli.quantile_loss_on_points
+        steps = []
+
+        def nan_second_step(*args, **kwargs):
+            loss, point_grads = loss_on_points(*args, **kwargs)
+            if point_grads is not None:
+                steps.append(None)
+                point_grads = point_grads * (np.nan if len(steps) == 2 else 1.0)
+            return loss, point_grads
+
+        monkeypatch.setattr("quantmatch.trainer.quantile_loss_on_points", nan_second_step)
+        path.write_text(TINY_CONFIG.replace("epochs = 10", "epochs = 3"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "f")]) == 0
+        assert len(steps) == 3
+        summary = json.loads((tmp_path / "f" / "summary.json").read_text())
+        assert summary["flags"]["aborted_steps"] == 1
+        records = traces[1].records
+        assert [r.flag for r in records] == ["", "", "nonfinite_grad", ""]
+        assert records[2].quantile_loss == records[1].quantile_loss
+        assert records[2].paired_mse == records[1].paired_mse
+        assert records[3].quantile_loss != records[2].quantile_loss
 
     # Final values of the tiny config in full batch and in bank mode; rtol=1e-9
     # catches a changed formula but lets ulp-level kernel changes through.
@@ -357,6 +397,57 @@ class TestRun:
         np.testing.assert_allclose(summary["final_metrics"]["quantile_loss"], loss, rtol=1e-9)
         np.testing.assert_allclose(summary["final_metrics"]["paired_mse"], mse, rtol=1e-9)
         np.testing.assert_allclose(summary["adapter_params"], params, rtol=1e-9)
+
+    def test_trace_csv_text_and_summary_metrics(self, tmp_path, monkeypatch):
+        traces = kept_traces(monkeypatch)
+        edits = {"epochs = 10": "epochs = 3", "batch_size = 60": "batch_size = 16",
+                 "full_batch = true": "full_batch = false", "wasserstein_every = 5": "wasserstein_every = 2"}
+        text = TINY_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        records = traces[0].records
+        assert [r.wasserstein2 is None for r in records] == [False, True, False, False]
+        assert all(r.crude_var > 0 and r.control_var > 0 for r in records[1:])
+
+        def field(value):
+            return "" if value is None else repr(value)
+
+        lines = ["epoch,quantile_loss,paired_mse,wasserstein2,crude_var,control_var,grad_norm"]
+        for r in records:
+            values = (r.quantile_loss, r.paired_mse, r.wasserstein2, r.crude_var, r.control_var, r.grad_norm)
+            lines.append(",".join([f"{r.epoch:d}", *map(field, values)]))
+        assert (out / "trace.csv").read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+        summary = json.loads((out / "summary.json").read_text())
+        for key, r in (("initial_metrics", records[0]), ("final_metrics", records[-1])):
+            assert summary[key] == {"quantile_loss": r.quantile_loss, "paired_mse": r.paired_mse, "wasserstein2": r.wasserstein2}
+
+    @pytest.mark.parametrize("where", ["config", "out"])
+    def test_percent_in_values_is_literal(self, tmp_path, where):
+        out = tmp_path / "100% %(name)s"
+        text = TINY_CONFIG.replace("name = tiny", "name = run 100%")
+        if where == "config":
+            text = text.replace("[train]", f"[output]\ndir = {out}\n\n[train]")
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        argv = ["run", "--config", str(path)] + (["--out", str(out)] if where == "out" else [])
+        assert main(argv) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["name"] == "run 100%"
+        assert config["out_dir"] == str(out)
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(TINY_CONFIG.replace("name = tiny", "name = caf\xe9").encode("latin-1"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert payload["message"].startswith("malformed config: ") and "utf-8" in payload["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_config_echoed_into_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"
