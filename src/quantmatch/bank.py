@@ -102,9 +102,7 @@ def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bo
 
 
 def initialize_bank(adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
-    bank = MemoryBank.empty(adapted.dim, refs.count, adapted.n)
-    sweep(bank, adapted, refs, refresh=True, moments=False)
-    return bank
+    return refresh_snapshot(MemoryBank.empty(adapted.dim, refs.count, adapted.n), adapted, refs)
 
 
 def refresh_snapshot(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet) -> MemoryBank:
@@ -196,9 +194,10 @@ def estimator_variance(
         raise ValueError(f"monte_carlo mode needs draws >= 1, got {draws}")
 
     bank = initialize_bank(adapted_snap, refs)
-    _, (_, sigma_s2, sigma_as) = sweep(bank, adapted_t, refs)
-    # the batch means below need every current unit at once: a second bank holds them
-    current = initialize_bank(adapted_t, refs)
+    # the batch means below need every current unit at once: the sweep refreshes
+    # a copy of the snapshot bank to them, after taking each block's moments
+    current = MemoryBank(bank.snapshot_units.copy(), bank.snapshot_avgs)
+    _, (_, sigma_s2, sigma_as) = sweep(current, adapted_t, refs, refresh=True)
     a_mean = current.snapshot_avgs
 
     crude_sq = 0.0

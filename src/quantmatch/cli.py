@@ -101,7 +101,7 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)  # values are literal text: a % is a %
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
@@ -390,15 +390,18 @@ def verify_wasserstein(seed: int, lines: list[str]) -> bool:
     return ok
 
 
+# each suite's runner, from the parsed arguments and the list its report lines go to
+SUITES = {
+    "inverse-map": lambda args, lines: verify_inverse_map(args.trials, args.seed, lines),
+    "variance": lambda args, lines: verify_variance(args.n, args.b, args.seed, lines),
+    "gradients": lambda args, lines: verify_gradients(args.seed, lines),
+    "minibatch-gradients": lambda args, lines: verify_minibatch_gradients(args.n, args.b, args.seed, lines),
+    "wasserstein": lambda args, lines: verify_wasserstein(args.seed, lines),
+}
+
+
 def cmd_run(args) -> int:
-    try:
-        return run_experiment(load_spec(args.config, args.out, args.seed))
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}))
-        return EXIT_USAGE
-    except Exception as exc:  # noqa: BLE001 - contract: error JSON + nonzero exit
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_FAIL
+    return run_experiment(load_spec(args.config, args.out, args.seed))
 
 
 def _verify_usage_error(args) -> str | None:
@@ -420,20 +423,7 @@ def cmd_verify(args) -> int:
         print(json.dumps({"error": "usage", "message": problem}))
         return EXIT_USAGE
     lines: list[str] = []
-    try:
-        if args.suite == "inverse-map":
-            ok = verify_inverse_map(args.trials, args.seed, lines)
-        elif args.suite == "variance":
-            ok = verify_variance(args.n, args.b, args.seed, lines)
-        elif args.suite == "minibatch-gradients":
-            ok = verify_minibatch_gradients(args.n, args.b, args.seed, lines)
-        elif args.suite == "gradients":
-            ok = verify_gradients(args.seed, lines)
-        else:
-            ok = verify_wasserstein(args.seed, lines)
-    except Exception as exc:  # noqa: BLE001
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_FAIL
+    ok = SUITES[args.suite](args, lines)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_FAIL
@@ -450,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="run a property suite")
-    ver_p.add_argument("suite", choices=["inverse-map", "variance", "gradients", "minibatch-gradients", "wasserstein"])
+    ver_p.add_argument("suite", choices=SUITES)
     ver_p.add_argument("--trials", type=int, default=100)
     ver_p.add_argument("--n", type=int, default=8)
     ver_p.add_argument("--b", type=int, default=3)
@@ -465,7 +455,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(json.dumps({"error": "config", "message": str(exc)}))
+        return EXIT_USAGE
+    except Exception as exc:  # noqa: BLE001 - contract: error JSON + nonzero exit
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        return EXIT_FAIL
 
 
 def entry() -> None:

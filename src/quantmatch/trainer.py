@@ -232,20 +232,15 @@ def minibatch_point_grads(
 def evaluate_epoch(
     adapted: np.ndarray,
     source_feats: PointCloud,
-    refs: ReferenceSet,
+    loss: float,
     paired: bool = False,
     epoch: int = 0,
     compute_wasserstein: bool = True,
-    loss: float | None = None,
 ) -> EpochRecord:
-    """Full-data metrics of the adapted (n, d) cloud; the Wasserstein oracle runs on cadence.
+    """The record of the adapted (n, d) cloud, whose quantile loss is `loss`; the Wasserstein oracle runs on cadence.
 
     With `paired`, the paired MSE compares adapted row i with source row i.
-    `loss`, when given, is the quantile loss at `adapted`, as the bank's sweep computes it.
     """
-    if loss is None:
-        loss, _ = quantile_loss_on_points(adapted, refs, want_grad=False)
-
     mse = paired_mse(adapted, source_feats.points) if paired else None
 
     w2 = None
@@ -343,25 +338,17 @@ def train(
             trace.divergence = (epoch, ratio)
             break
         on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
-        swept = None
-        if bank is not None:
+        if bank is None:
+            loss, moments = quantile_loss_on_points(adapted, refs, want_grad=False)[0], None
+        else:
             # one pass over the references gives the record's loss, the
             # variance moments against the outgoing snapshot and, when due,
             # the refresh for the next epoch
             refresh = epoch < cfg.epochs and epoch % cfg.snapshot_every == 0
-            moments = epoch > 0 and cfg.batch_size < n
-            swept = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=moments)
-        rec = evaluate_epoch(
-            adapted,
-            source_feats,
-            refs,
-            paired,
-            epoch=epoch,
-            compute_wasserstein=on_cadence,
-            loss=None if swept is None else swept.loss,
-        )
-        if swept is not None and swept.moments is not None:
-            rec.crude_var, rec.control_var = _variance_sample(swept.moments, cfg.batch_size, n)
+            loss, moments = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=epoch > 0 and cfg.batch_size < n)
+        rec = evaluate_epoch(adapted, source_feats, loss, paired, epoch=epoch, compute_wasserstein=on_cadence)
+        if moments is not None:
+            rec.crude_var, rec.control_var = _variance_sample(moments, cfg.batch_size, n)
         rec.grad_norm = grad_norm
         if trace.aborted_steps > aborted:
             rec.flag = ";".join(x for x in (rec.flag, "nonfinite_grad") if x)

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from quantmatch import (
     refresh_snapshot,
     select_references,
 )
-from quantmatch.bank import lemma_variance, per_sample_units, population_moments
+from quantmatch import bank as bank_mod
+from quantmatch.bank import lemma_variance, per_sample_units, population_moments, sweep
 from quantmatch.geometry import DimensionMismatchError
 from quantmatch.loss import point_sums, row_sums
 from quantmatch.rng import SplitMix64
@@ -251,6 +254,29 @@ class TestEstimatorVariance:
         _, refs, current = make_instance(17, n=40)
         with pytest.raises(ValueError):
             estimator_variance(current, current, refs, b=20, mode="exhaustive")
+
+    def test_one_index_pass_per_cloud_keeps_the_bits(self, monkeypatch):
+        """Two index passes, one per cloud, give the values of a bank at each cloud plus a moments sweep, bit for bit."""
+        rng, refs, current = make_instance(20, n=9, d=3, ref_count=5)
+        snap = PointCloud(current.points + 0.05 * rng.normals(current.points.shape))
+        bank, current_bank = initialize_bank(snap, refs), initialize_bank(current, refs)
+        _, sigma_s2, sigma_as = sweep(bank, current, refs).moments
+        a_mean = current_bank.snapshot_avgs
+        crude = control = 0.0
+        batches = [np.asarray(combo, dtype=int) for combo in enumerate_batches(9, 4)]
+        for batch in batches:
+            a_hat = current_bank.batch_mean(batch)
+            crude += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
+            est = control_variate_estimate(bank, a_hat, bank.batch_mean(batch))
+            control += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))
+        want = (crude / len(batches), control / len(batches), float(sigma_as.sum() / sigma_s2.sum()))
+
+        calls = []
+        index_averages = bank_mod.index_averages
+        monkeypatch.setattr(bank_mod, "index_averages", lambda *args: calls.append(args[0]) or index_averages(*args))
+        diag = estimator_variance(current, snap, refs, b=4, mode="exhaustive")
+        assert [points.tobytes() for points in calls] == [snap.points.tobytes(), current.points.tobytes()]
+        assert astuple(diag) == want
 
     def test_monte_carlo_close_to_exhaustive(self):
         rng, refs, current = make_instance(15, n=10)

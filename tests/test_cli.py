@@ -449,6 +449,17 @@ class TestRun:
         assert payload["message"].startswith("malformed config: ") and "utf-8" in payload["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_config_with_byte_order_mark_runs(self, tiny_config, tmp_path, capsys):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + tiny_config.read_bytes())
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "plain")]) == 0
+        assert main(["run", "--config", str(bom), "--out", str(tmp_path / "bom")]) == 0
+        assert (tmp_path / "bom" / "trace.csv").read_bytes() == (tmp_path / "plain" / "trace.csv").read_bytes()
+        capsys.readouterr()
+        bom.write_bytes(b"\xef\xbb\xbf" + TINY_CONFIG.replace("name = tiny", "name = caf\xe9").encode("latin-1"))
+        assert main(["run", "--config", str(bom), "--out", str(tmp_path / "latin")]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+
     def test_config_echoed_into_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", str(tiny_config), "--out", str(out)])
@@ -548,6 +559,26 @@ class TestVerify:
     def test_usage_error_exit_code(self):
         assert main(["verify", "not-a-suite"]) == 2
         assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, raising",
+    [
+        pytest.param(["run", "--config", "any.cfg"], "run_experiment", id="run"),
+        pytest.param(["verify", "variance"], "verify_variance", id="verify"),
+    ],
+)
+def test_exception_exits_1_with_its_type_name(argv, raising, tmp_path, capsys, monkeypatch):
+    """Any exception but a ConfigError, in either command, prints one JSON line naming its type and exits 1."""
+    (tmp_path / "any.cfg").write_text(TINY_CONFIG)
+    monkeypatch.chdir(tmp_path)
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, raising, boom)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == '{"error": "RuntimeError", "message": "boom"}\n'
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"

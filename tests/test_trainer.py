@@ -268,7 +268,7 @@ class TestEvaluateEpoch:
         adapter = Adapter.affine(2)
         adapter = adapter.with_params(np.concatenate([inverse.ravel(), np.zeros(2)]))
         adapted = fmap.forward_cloud(adapter.forward_cloud(target.cloud.points))
-        rec = evaluate_epoch(adapted, src, refs, paired=True)
+        rec = evaluate_epoch(adapted, src, quantile_loss_on_points(adapted, refs, want_grad=False)[0], paired=True)
         assert rec.paired_mse == pytest.approx(0.0, abs=1e-18)
         assert rec.quantile_loss == pytest.approx(0.0, abs=1e-18)
         assert rec.wasserstein2 == pytest.approx(0.0, abs=1e-9)
@@ -276,7 +276,7 @@ class TestEvaluateEpoch:
     def test_identity_on_shifted_data_all_positive(self):
         clean, target, src, fmap = sixblobs_setup()
         refs = select_references(src, 60, seed=5)
-        rec = evaluate_epoch(target.cloud.points, src, refs, paired=True)
+        rec = evaluate_epoch(target.cloud.points, src, quantile_loss_on_points(target.cloud.points, refs, want_grad=False)[0], paired=True)
         assert rec.quantile_loss > 0
         assert rec.paired_mse > 0
         assert rec.wasserstein2 > 0
@@ -284,7 +284,7 @@ class TestEvaluateEpoch:
     def test_oversize_cloud_skips_wasserstein(self):
         clean, target, src, fmap = sixblobs_setup()
         refs = select_references(src, 10, seed=5)
-        rec = evaluate_epoch(target.cloud.points[:100], src, refs)
+        rec = evaluate_epoch(target.cloud.points[:100], src, quantile_loss_on_points(target.cloud.points[:100], refs, want_grad=False)[0])
         assert rec.wasserstein2 is None
         assert "wasserstein_skipped" in rec.flag
 
