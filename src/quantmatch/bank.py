@@ -85,7 +85,7 @@ def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bo
     if adapted.n != bank.snapshot_units.shape[1]:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
     avgs = np.empty_like(refs.target_indices)
-    out = np.empty((3, refs.count)) if moments else None
+    out = np.empty((2, refs.count)) if moments else None
 
     def visit(block, units, sums, work):
         avgs[block] = sums / adapted.n
@@ -124,31 +124,40 @@ class EstimatorDiagnostics:
     crude_variance: float
     control_variance: float
     beta_star: float
+    crude_formula: float    # lemma_variances of the moments at these parameters, as the trainer's crude_var
+    control_formula: float  # and control_var
 
 
 def population_moments(a_units: np.ndarray, s_units: np.ndarray, a_mean=None, s_mean=None, work: Workspace | None = None):
-    """Per-reference variances and cross-covariance of two (d, R, n) unit-plane populations.
+    """Per-reference variances of a and of a - s, two (d, R, n) unit-plane populations.
 
-    Returns (sigma_a2, sigma_s2, sigma_as), each (R,), using the expected
-    squared-norm convention.  A population's (R, d) mean, when given, must be
-    its point_sums / n; it is computed when not given.  Either population may
-    be a strided view, such as the transposed snapshot: the deviations are
-    written contiguous, so each mean(axis=1) adds along contiguous points.
-    They go to work's "rows" buffer, which point_sums has finished with, and
-    its "deviations" buffer (a new Workspace's when not given).
+    Returns (sigma_a2, sigma_d2), each (R,), in the expected squared-norm
+    convention; sigma_d2 is taken from the deviations of a - s, so it is
+    never negative.  A population's (R, d) mean, when given, must be its
+    point_sums / n; it is computed when not given.  Either population may be
+    a strided view, such as the transposed snapshot: the deviations are
+    written contiguous, to work's "rows" buffer, which point_sums has
+    finished with, and its "deviations" buffer (a new Workspace's when not
+    given), so each mean(axis=1) adds along contiguous points.
     """
     n = a_units.shape[2]
     work = Workspace() if work is None else work
     a_mean = point_sums(a_units, work) / n if a_mean is None else a_mean
     s_mean = point_sums(s_units, work) / n if s_mean is None else s_mean
     da = np.subtract(a_units, a_mean.T[:, :, None], out=work.take("rows", a_units.shape))
-    ds = np.subtract(s_units, s_mean.T[:, :, None], out=work.take("deviations", s_units.shape))
-    return plane_dot(da, da).mean(axis=1), plane_dot(ds, ds).mean(axis=1), plane_dot(da, ds).mean(axis=1)
+    dd = np.subtract(s_units, s_mean.T[:, :, None], out=work.take("deviations", s_units.shape))
+    np.subtract(da, dd, out=dd)
+    return plane_dot(da, da).mean(axis=1), plane_dot(dd, dd).mean(axis=1)
 
 
 def lemma_variance(sigma2: float, n: int, b: int) -> float:
     """Without-replacement sample-mean variance: (1/b) * (n-b)/(n-1) * sigma2."""
     return sigma2 * (n - b) / (b * (n - 1))
+
+
+def lemma_variances(moments, n: int, b: int) -> tuple[float, ...]:
+    """lemma_variance at each moment's mean over the references, as Python floats: the crude and control variances."""
+    return tuple(lemma_variance(float(m.mean()), n, b) for m in moments)
 
 
 def _batch_iter(n: int, b: int, mode: str, draws: int, seed: int):
@@ -170,15 +179,15 @@ def estimator_variance(
     draws: int = 10_000,
     seed: int = 0,
 ) -> EstimatorDiagnostics:
-    """Measured variance of the crude and control-variate estimators.
+    """Measured variance of the crude and control-variate estimators, and their closed forms from the same sweep.
 
     Variances are expected squared norms of the estimate around the exact
-    population average, averaged across references.  beta_star is the
-    variance-optimal control coefficient sigma_as / sigma_s^2 computed from
-    population sums by sweep, the pass that gives the trainer its
-    variance columns; the estimator itself always uses beta = 1.  The control
-    estimate is the trainer's: control_variate_estimate on a bank initialized
-    at the snapshot, so at theta = theta_snap it measures exactly zero.
+    population average, averaged across references.  beta_star, the
+    variance-optimal control coefficient, is measured over the same batches
+    as sum <a_B - a_mean, s_B - s_mean> / sum ||s_B - s_mean||^2, and nan at
+    b = n; the estimator uses beta = 1.  The control estimate is the
+    trainer's: control_variate_estimate on a bank initialized at the
+    snapshot, so at theta = theta_snap it measures exactly zero.
     """
     n = adapted_t.n
     if adapted_snap.n != n:
@@ -197,24 +206,21 @@ def estimator_variance(
     # the batch means below need every current unit at once: the sweep refreshes
     # a copy of the snapshot bank to them, after taking each block's moments
     current = MemoryBank(bank.snapshot_units.copy(), bank.snapshot_avgs)
-    _, (_, sigma_s2, sigma_as) = sweep(current, adapted_t, refs, refresh=True)
+    moments = sweep(current, adapted_t, refs, refresh=True).moments
     a_mean = current.snapshot_avgs
 
-    crude_sq = 0.0
-    control_sq = 0.0
+    crude_sq = control_sq = cross = s_sq = 0.0
     count = 0
     for batch in _batch_iter(n, b, mode, draws, seed):
         a_hat = current.batch_mean(batch)
         s_hat = bank.batch_mean(batch)
-        crude_sq += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
+        da, ds = a_hat - a_mean, s_hat - bank.snapshot_avgs
+        crude_sq += float(np.mean(np.sum(da**2, axis=1)))
         est = control_variate_estimate(bank, a_hat, s_hat)
         control_sq += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))
+        cross += float(np.sum(da * ds))
+        s_sq += float(np.sum(ds * ds))
         count += 1
 
-    total_s2 = float(sigma_s2.sum())
-    beta_star = float(sigma_as.sum() / total_s2) if total_s2 > 0 else float("nan")
-    return EstimatorDiagnostics(
-        crude_variance=crude_sq / count,
-        control_variance=control_sq / count,
-        beta_star=beta_star,
-    )
+    beta_star = cross / s_sq if b < n and s_sq > 0 else float("nan")  # at b = n both sums are rounding noise
+    return EstimatorDiagnostics(crude_sq / count, control_sq / count, beta_star, *lemma_variances(moments, n, b))

@@ -68,14 +68,18 @@ class Corruption:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError("linear corruption needs a square matrix")
-        with np.errstate(over="ignore"):  # a determinant too large for a float is far from singular
-            det = np.linalg.det(m)
-        if abs(det) <= 1e-9:
+        if not np.all(np.isfinite(m)):
+            raise ValueError("corruption matrix must be finite")
+        # scale-free: the determinant of the rows scaled to max-abs 1, against its Hadamard bound, their norms' product
+        rows = m / np.maximum(np.max(np.abs(m), axis=1, keepdims=True), np.finfo(float).tiny)
+        if abs(np.linalg.det(rows)) <= 1e-9 * np.prod(np.linalg.norm(rows, axis=1)):
             raise SingularCorruptionError("corruption matrix is numerically singular")
         return cls(kind="linear", matrix=m)
 
     @classmethod
     def rotation(cls, angle_deg: float) -> "Corruption":
+        if not np.isfinite(angle_deg):
+            raise ValueError("angle_deg must be finite")
         return cls(kind="rotation", matrix=_rotation(angle_deg))
 
     @classmethod
@@ -84,8 +88,8 @@ class Corruption:
 
     @classmethod
     def gaussian_noise(cls, sigma: float) -> "Corruption":
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
         return cls(kind="gaussian_noise", sigma=float(sigma))
 
     def exact_inverse_matrix(self) -> np.ndarray | None:
@@ -139,19 +143,20 @@ def two_moons(seed: int = 0, n: int = 200, noise_sigma: float = 0.05) -> Labeled
 def apply_corruption(clean: LabeledCloud, corruption: Corruption, seed: int = 0) -> LabeledCloud:
     """Corrupt a cloud pointwise; row i of the result is the clean row i corrupted, with its label."""
     pts = clean.cloud.points
-    if corruption.matrix is not None:
-        if corruption.matrix.shape[0] != pts.shape[1]:
-            raise DimensionMismatchError("corruption matrix does not match the cloud dimension")
-        out = pts @ corruption.matrix.T
-    elif corruption.kind == "shift":
-        if corruption.offset.shape[0] != pts.shape[1]:
-            raise DimensionMismatchError("shift vector does not match the cloud dimension")
-        out = pts + corruption.offset
-    elif corruption.kind == "gaussian_noise":
-        rng = SplitMix64.stream("corruption_noise", seed)
-        out = pts + corruption.sigma * rng.normals(pts.shape)
-    else:
-        raise ValueError(f"unknown corruption kind {corruption.kind!r}")
+    with np.errstate(over="ignore"):  # an overflowing cloud is PointCloud's non-finite ValueError, not a warning
+        if corruption.matrix is not None:
+            if corruption.matrix.shape[0] != pts.shape[1]:
+                raise DimensionMismatchError("corruption matrix does not match the cloud dimension")
+            out = pts @ corruption.matrix.T
+        elif corruption.kind == "shift":
+            if corruption.offset.shape[0] != pts.shape[1]:
+                raise DimensionMismatchError("shift vector does not match the cloud dimension")
+            out = pts + corruption.offset
+        elif corruption.kind == "gaussian_noise":
+            rng = SplitMix64.stream("corruption_noise", seed)
+            out = pts + corruption.sigma * rng.normals(pts.shape)
+        else:
+            raise ValueError(f"unknown corruption kind {corruption.kind!r}")
     return LabeledCloud(cloud=PointCloud(out), labels=clean.labels.copy())
 
 

@@ -22,7 +22,7 @@ from .bank import (
     MemoryBank,
     control_variate_estimate,
     initialize_bank,
-    lemma_variance,
+    lemma_variances,
     per_sample_units,
     population_moments,
     refresh_snapshot,
@@ -155,14 +155,6 @@ def rms_spread(points: np.ndarray) -> float:
     with np.errstate(over="ignore"):  # an overflowing spread is the divergence stop's signal
         centered = points - points.mean(axis=0)
         return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
-
-
-def _variance_sample(moments, b: int, n: int):
-    """Closed-form crude/control variances from a sweep's moments (sigma_a2, sigma_s2, sigma_as)."""
-    sigma_a2, sigma_s2, sigma_as = moments
-    crude = lemma_variance(float(sigma_a2.mean()), n, b)
-    control = lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
-    return crude, control
 
 
 def minibatch_point_grads(
@@ -348,7 +340,7 @@ def train(
             loss, moments = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=epoch > 0 and cfg.batch_size < n)
         rec = evaluate_epoch(adapted, source_feats, loss, paired, epoch=epoch, compute_wasserstein=on_cadence)
         if moments is not None:
-            rec.crude_var, rec.control_var = _variance_sample(moments, cfg.batch_size, n)
+            rec.crude_var, rec.control_var = lemma_variances(moments, n, cfg.batch_size)
         rec.grad_norm = grad_norm
         if trace.aborted_steps > aborted:
             rec.flag = ";".join(x for x in (rec.flag, "nonfinite_grad") if x)

@@ -229,7 +229,7 @@ def test_criterion_7_lemma_variance_formula():
         refs = select_references(source, 5, seed=7)
         current = random_cloud(rng, n, 3)
         units = per_sample_units(current.points, refs.quantiles)
-        sigma_a2, _, _ = population_moments(units, units)
+        sigma_a2, _ = population_moments(units, units)
         for b in range(1, n + 1):
             diag = estimator_variance(current, current, refs, b=b, mode="exhaustive")
             expected = lemma_variance(float(sigma_a2.mean()), n, b)

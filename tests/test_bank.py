@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -14,7 +15,7 @@ from quantmatch import (
     select_references,
 )
 from quantmatch import bank as bank_mod
-from quantmatch.bank import lemma_variance, per_sample_units, population_moments, sweep
+from quantmatch.bank import lemma_variance, lemma_variances, per_sample_units, population_moments, sweep
 from quantmatch.geometry import DimensionMismatchError
 from quantmatch.loss import point_sums, row_sums
 from quantmatch.rng import SplitMix64
@@ -180,7 +181,7 @@ class TestEstimatorVariance:
         _, refs, current = make_instance(11, n=8)
         diag = estimator_variance(current, current, refs, b=3, mode="exhaustive")
         units = per_sample_units(current.points, refs.quantiles)
-        sigma_a2, _, _ = population_moments(units, units)
+        sigma_a2, _ = population_moments(units, units)
         expected = lemma_variance(float(sigma_a2.mean()), 8, 3)
         assert diag.crude_variance == pytest.approx(expected, abs=1e-10)
 
@@ -190,13 +191,13 @@ class TestEstimatorVariance:
         for n in range(2, 13):
             rng, refs, current = make_instance(100 + n, n=n)
             snap = PointCloud(current.points + 0.05 * rng.normals(current.points.shape))
-            sigma_a2, sigma_s2, sigma_as = population_moments(
+            sigma_a2, sigma_d2 = population_moments(
                 per_sample_units(current.points, refs.quantiles), per_sample_units(snap.points, refs.quantiles)
             )
             for b in range(1, n + 1):
                 diag = estimator_variance(current, snap, refs, b=b, mode="exhaustive")
                 crude = lemma_variance(float(sigma_a2.mean()), n, b)
-                control = lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
+                control = lemma_variance(float(sigma_d2.mean()), n, b)
                 assert diag.crude_variance == pytest.approx(crude, abs=1e-10), (n, b)
                 assert diag.control_variance == pytest.approx(control, abs=1e-10), (n, b)
 
@@ -260,16 +261,18 @@ class TestEstimatorVariance:
         rng, refs, current = make_instance(20, n=9, d=3, ref_count=5)
         snap = PointCloud(current.points + 0.05 * rng.normals(current.points.shape))
         bank, current_bank = initialize_bank(snap, refs), initialize_bank(current, refs)
-        _, sigma_s2, sigma_as = sweep(bank, current, refs).moments
+        moments = sweep(bank, current, refs).moments
         a_mean = current_bank.snapshot_avgs
-        crude = control = 0.0
+        crude = control = cross = s_sq = 0.0
         batches = [np.asarray(combo, dtype=int) for combo in enumerate_batches(9, 4)]
         for batch in batches:
-            a_hat = current_bank.batch_mean(batch)
+            a_hat, s_hat = current_bank.batch_mean(batch), bank.batch_mean(batch)
             crude += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
-            est = control_variate_estimate(bank, a_hat, bank.batch_mean(batch))
+            est = control_variate_estimate(bank, a_hat, s_hat)
             control += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))
-        want = (crude / len(batches), control / len(batches), float(sigma_as.sum() / sigma_s2.sum()))
+            cross += float(np.sum((a_hat - a_mean) * (s_hat - bank.snapshot_avgs)))
+            s_sq += float(np.sum((s_hat - bank.snapshot_avgs) ** 2))
+        want = (crude / len(batches), control / len(batches), cross / s_sq, *lemma_variances(moments, 9, 4))
 
         calls = []
         index_averages = bank_mod.index_averages
@@ -277,6 +280,39 @@ class TestEstimatorVariance:
         diag = estimator_variance(current, snap, refs, b=4, mode="exhaustive")
         assert [points.tobytes() for points in calls] == [snap.points.tobytes(), current.points.tobytes()]
         assert astuple(diag) == want
+
+    def test_beta_star_over_every_batch_is_the_population_ratio(self):
+        # over all C(n, b) batches, the measured coefficient is sum sigma_as / sum sigma_s^2
+        for n, b in ((8, 3), (10, 4), (9, 1)):
+            rng, refs, current = make_instance(40 + n, n=n, d=3)
+            snap = PointCloud(current.points + 0.05 * rng.normals(current.points.shape))
+            a, s = rnd_units(current.points, refs), rnd_units(snap.points, refs)
+            da, ds = a - a.mean(axis=1, keepdims=True), s - s.mean(axis=1, keepdims=True)
+            want = np.sum(da * ds) / np.sum(ds * ds)
+            got = estimator_variance(current, snap, refs, b=b, mode="exhaustive").beta_star
+            assert got == pytest.approx(want, rel=1e-12), (n, b)
+
+    def test_beta_star_is_nan_when_every_batch_is_the_population(self):
+        rng, refs, current = make_instance(50, n=9, d=3)
+        snap = PointCloud(current.points + 0.05 * rng.normals(current.points.shape))
+        for mode in ("exhaustive", "monte_carlo"):  # the draws' points come in shuffled order
+            assert math.isnan(estimator_variance(current, snap, refs, b=9, mode=mode, draws=5).beta_star), mode
+
+    def test_sigma_d2_of_close_clouds_against_long_double(self):
+        # at clouds 1e-6 apart, sigma_a2 + sigma_s2 - 2 sigma_as loses about 1e-5 to cancellation
+        rng = SplitMix64.stream("long_double_moments", 0)
+        points = rng.normals((4080, 8))
+        snap = points + 1e-6 * rng.normals(points.shape)
+        ref_points = rng.normals((300, 8))
+        worst = 0.0
+        for start in range(0, 300, 30):  # blocks of references keep the planes small
+            a, s = (per_sample_units(cloud, ref_points[start : start + 30]) for cloud in (points, snap))
+            diff = a.astype(np.longdouble) - s.astype(np.longdouble)
+            dev = diff - diff.mean(axis=2, keepdims=True)
+            want = (dev * dev).sum(axis=0).mean(axis=1)
+            got = population_moments(a, s)[1]
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 1e-10
 
     def test_monte_carlo_close_to_exhaustive(self):
         rng, refs, current = make_instance(15, n=10)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quantmatch.adapters import Adapter
-from quantmatch import cli
+from quantmatch import bank as bank_mod, cli
 from quantmatch.cli import load_spec, main
 from quantmatch.loss import BLOCK_BYTES
 from quantmatch.trainer import train
@@ -440,6 +440,51 @@ class TestRun:
         assert config["name"] == "run 100%"
         assert config["out_dir"] == str(out)
 
+    @pytest.mark.parametrize("default", ["seed = 3", "epochs = 5"])
+    def test_default_section_exits_2(self, tmp_path, capsys, default):
+        # configparser would copy a [DEFAULT] key into every section that does not set it
+        text = (SHIPPED / "sixblobs_linear.cfg").read_text()
+        if default == "seed = 3":  # every section left takes a seed, so no key of it is unknown
+            text = text.split("[output]")[0].split("\n\n", 1)[1]
+            text = text.replace("kind = affine", "kind = mlp1").replace("kind = identity", "kind = fixed_mlp")
+        path = tmp_path / "c.cfg"
+        path.write_text(f"[DEFAULT]\n{default}\n\n{text}")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "config", "message": "unknown config names: [DEFAULT]"}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "new",
+        [
+            "kind = linear\nmatrix = nan, 0, 0, 1",
+            "kind = linear\nmatrix = 1e308, 1e308, -1e308, 1e308",
+            "kind = rotation\nangle_deg = inf",
+            "kind = gaussian_noise\nsigma = 1e308",
+            "kind = gaussian_noise\nsigma = nan",
+            "kind = linear\nmatrix = 100000000, 100000000, 100000000, 100000000.0000001",
+        ],
+        ids=["nan_matrix", "overflowing_matrix", "infinite_angle", "overflowing_sigma", "nan_sigma", "rank_one_matrix"],
+    )
+    def test_corruption_not_finite_overflowing_or_singular_exits_2(self, tmp_path, capsys, new):
+        bad = tmp_path / "bad.cfg"
+        # six-blobs' coordinates reach 10, so that the matrix of 1e308s overflows its product
+        bad.write_text(TINY_CONFIG.replace(TWO_MOONS, "kind = six_blobs\nseed = 3").replace("kind = rotation\nangle_deg = 180", new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["error"] == "config" and "[corruption]" in payload["message"]
+        assert captured.err == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_small_well_conditioned_matrix_runs(self, tmp_path):
+        # its determinant is 1e-10, but its rows are orthogonal
+        path = tmp_path / "c.cfg"
+        path.write_text(TINY_CONFIG.replace("kind = rotation\nangle_deg = 180", "kind = linear\nmatrix = 0.00001, 0, 0, 0.00001"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(TINY_CONFIG.replace("name = tiny", "name = caf\xe9").encode("latin-1"))
@@ -477,6 +522,13 @@ class TestVerify:
         assert main(["verify", "variance", "--n", "8", "--b", "3"]) == 0
         out = capsys.readouterr().out
         assert "PASS variance" in out
+
+    def test_variance_suite_makes_one_index_pass_per_cloud(self, capsys, monkeypatch):
+        calls = []
+        index_averages = bank_mod.index_averages
+        monkeypatch.setattr(bank_mod, "index_averages", lambda *args: calls.append(args[0]) or index_averages(*args))
+        assert main(["verify", "variance"]) == 0
+        assert len(calls) == 2
 
     def test_gradients_suite(self, capsys):
         assert main(["verify", "gradients"]) == 0

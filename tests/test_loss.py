@@ -25,6 +25,7 @@ from quantmatch.bank import (
     MemoryBank,
     estimator_variance,
     initialize_bank,
+    lemma_variances,
     per_sample_units,
     population_moments,
     sweep,
@@ -47,7 +48,7 @@ from quantmatch.loss import (
 )
 from quantmatch.oracles import enumerate_batches
 from quantmatch.rng import SplitMix64
-from quantmatch.trainer import _variance_sample, minibatch_point_grads
+from quantmatch.trainer import minibatch_point_grads
 
 
 def labeled_source(n_per_class, classes, d, seed=0):
@@ -311,10 +312,10 @@ def broadcast_minibatch_grads(yb, batch, snapshot_units, refs):
 
 
 def broadcast_moments(a_units, s_units):
-    """(3, R): sigma_a2, sigma_s2 and sigma_as of two (R, n, d) unit arrays."""
+    """(2, R): sigma_a2 and sigma_d2, the variances of a and of a - s, for two (R, n, d) unit arrays."""
     da = a_units - a_units.mean(axis=1)[:, None, :]
-    ds = s_units - s_units.mean(axis=1)[:, None, :]
-    return np.array([np.mean(np.sum(x * y, axis=2), axis=1) for x, y in ((da, da), (ds, ds), (da, ds))])
+    dd = da - (s_units - s_units.mean(axis=1)[:, None, :])
+    return np.array([np.mean(np.sum(x * x, axis=2), axis=1) for x in (da, dd)])
 
 
 def broadcast_estimator_variance(a_units, s_units, b):
@@ -426,7 +427,7 @@ def blocked_outputs(points, refs, snapshot):
             ("snapshot_avgs", bank.snapshot_avgs),
         ]
         moments = sweep(bank, cloud, refs).moments
-        outs += [("moments", np.array(moments)), ("variances", _variance_sample(moments, 1, m))]
+        outs += [("moments", np.array(moments)), ("variances", lemma_variances(moments, m, 1))]
         refreshed = sweep(bank, cloud, refs, refresh=True).moments
         outs += [
             ("refresh_moments", np.array(refreshed)),
@@ -892,7 +893,7 @@ def fresh_unit_directions(points, ref_points):
 def fresh_moments(a_units, s_units, a_mean, s_mean):
     """population_moments' arithmetic on fresh deviation arrays."""
     da, ds = (np.subtract(units, mean.T[:, :, None], order="C") for units, mean in ((a_units, a_mean), (s_units, s_mean)))
-    return [plane_dot(x, y).mean(axis=1) for x, y in ((da, da), (ds, ds), (da, ds))]
+    return [plane_dot(x, x).mean(axis=1) for x in (da, da - ds)]
 
 
 def used_workspace(d, count, m):

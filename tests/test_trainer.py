@@ -12,6 +12,9 @@ from quantmatch import (
     apply_corruption,
     enumerate_batches,
     evaluate_epoch,
+    finite_diff_grad,
+    g_r,
+    h_r,
     initialize_bank,
     quantile_loss_on_points,
     select_references,
@@ -323,6 +326,44 @@ class TestMinibatchGradient:
         assert np.max(np.abs(full)) > 1e-3
         np.testing.assert_allclose(mean, full, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def batch_case(d):
+        """(yb, batch, bank, refs, objective): a batch 0.3 off its snapshot, and the batch objective of its points.
+
+        The objective is mean_r ||(mean_j h_r(y_j) - s_B,r) + s_mean_r - u_r||^2
+        with the bank held fixed, built from h_r and g_r.
+        """
+        rng = SplitMix64.stream("minibatch_finite_differences", d)
+        n, b = 12, 5
+        snapshot = PointCloud(rng.normals((n, d)))
+        refs = select_references(PointCloud(rng.normals((n, d))), 4, seed=d)
+        bank = initialize_bank(snapshot, refs)
+        batch = np.asarray(rng.sample_without_replacement(n, b), dtype=int)
+        yb = snapshot.points[batch] + 0.3 * rng.normals((b, d))
+        s_hat = bank.batch_mean(batch)
+
+        def objective(flat):
+            points = flat.reshape(b, d)
+            return np.mean([
+                g_r(np.mean([h_r(y, q) for y in points], axis=0) - s_hat[r] + bank.snapshot_avgs[r], refs.target_indices[r])
+                for r, q in enumerate(refs.quantiles)
+            ])
+
+        return yb, batch, bank, refs, objective
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_finite_differences_away_from_snapshot(self, d):
+        yb, batch, bank, refs, objective = self.batch_case(d)
+        numeric = finite_diff_grad(objective, yb.ravel()).reshape(yb.shape)
+        analytic = minibatch_point_grads(yb, batch, bank, refs)
+        assert np.max(np.abs(numeric)) > 1e-3
+        assert np.max(np.abs(analytic - numeric)) <= 1e-7 * np.max(np.abs(numeric))
+
+    def test_one_coordinate_gradient_is_zero(self):
+        # a point's unit vector toward a reference on a line is a constant +-1
+        yb, batch, bank, refs, _ = self.batch_case(1)
+        assert np.all(minibatch_point_grads(yb, batch, bank, refs) == 0.0)
+
 
 class TestVarianceColumns:
     # (snapshot_every, record k, epoch of the snapshot record k is measured against)
@@ -343,10 +384,21 @@ class TestVarianceColumns:
             theta = adapter if epochs == 0 else train(src, target.cloud, adapter, fmap, replace(cfg, epochs=epochs))[0]
             return per_sample_units(fmap.forward_cloud(theta.forward_cloud(target.cloud.points)), refs.quantiles)
 
-        sigma_a2, sigma_s2, sigma_as = population_moments(units_at(k), units_at(snap))
+        sigma_a2, sigma_d2 = population_moments(units_at(k), units_at(snap))
         n, b = target.n, cfg.batch_size
         rec = trace.records[k]
         assert rec.crude_var == lemma_variance(float(sigma_a2.mean()), n, b)
-        assert rec.control_var == lemma_variance(float((sigma_a2 + sigma_s2 - 2.0 * sigma_as).mean()), n, b)
+        assert rec.control_var == lemma_variance(float(sigma_d2.mean()), n, b)
         assert rec.control_var > 0
         assert (trace.records[0].crude_var, trace.records[0].control_var) == (0.0, 0.0)
+
+    def test_control_positive_and_quadratic_at_tiny_learning_rate(self):
+        # the memory-bank six-blobs run (b = 32, one refresh an epoch) at learning rates
+        # that keep each snapshot within ~1e-10 of the current parameters: the variance
+        # of a - s is then tiny, and scales as the square of the learning rate
+        clean, target, src, fmap = sixblobs_setup()
+        cfg = cfg_for(clean.n, epochs=6, batch_size=32, full_batch=False, learning_rate=1e-10)
+        control = train(src, target.cloud, Adapter.affine(2), fmap, cfg)[1].column("control_var")[1:]
+        smaller = train(src, target.cloud, Adapter.affine(2), fmap, replace(cfg, learning_rate=1e-11))[1].column("control_var")[1:]
+        assert np.all(control > 0)
+        np.testing.assert_allclose(control, 100.0 * smaller, rtol=1e-3)
