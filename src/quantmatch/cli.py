@@ -123,6 +123,8 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
 
     named = (("experiment", "name"), ("output", "dir"))
     empty = [f"[{section}] {key}" for section, key in named if sections[section].get(key) == ""]
+    if out_override == "":
+        empty.append("--out (for [output] dir)")
     if empty:
         raise ConfigError("empty config values: " + ", ".join(empty))
 
@@ -134,7 +136,7 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
         adapter=sections["adapter"],
         feature_map=sections["feature_map"],
         train=TrainConfig(**sections["train"]),
-        out_dir=Path(out_override or sections["output"].get("dir", f"runs/{name}")),
+        out_dir=Path(sections["output"].get("dir", f"runs/{name}") if out_override is None else out_override),
     )
 
 

@@ -26,14 +26,16 @@ from .geometry import (
 from .rng import SplitMix64
 
 # Reference selection, the loss and the bank's sweep run over blocks of
-# references, and the minibatch step over blocks of the batch's points, whose
-# (d, R, m) unit planes take at most BLOCK_BYTES, with at least MIN_BLOCK_REFS
-# references or points each (one reference alone takes row_sums' cumsum path,
-# one point alone direction_point_grads' m == 1 path).  Each reference's and
-# each point's arithmetic is the same in any block, so the outputs do not
-# depend on the block size.  index_averages and the step share their blocks
-# between THREADS threads (for_each_block), with blocks of BLOCK_BYTES //
-# THREADS, so the bytes in flight stay within one BLOCK_BYTES.
+# references, and a minibatch step whose batch spans blocks over blocks of the
+# batch's points, whose (d, R, m) unit planes take at most BLOCK_BYTES, with
+# at least MIN_BLOCK_REFS references or points each (one reference alone takes
+# row_sums' cumsum path, one point alone direction_point_grads' m == 1 path).
+# A step whose batch fits one block is one direct call of each kernel.  Each
+# reference's and each point's arithmetic is the same in any block, so the
+# outputs do not depend on the block size.  index_averages and a step in
+# blocks share their blocks between THREADS threads (for_each_block), with
+# blocks of BLOCK_BYTES // THREADS, so the bytes in flight stay within one
+# BLOCK_BYTES.
 BLOCK_BYTES = 4 << 20
 MIN_BLOCK_REFS = 2
 THREADS = min(2, len(os.sched_getaffinity(0)))

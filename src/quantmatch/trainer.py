@@ -34,7 +34,9 @@ from .loss import (
     Workspace,
     direction_point_grads,
     for_each_block,
+    point_sums,
     quantile_loss_on_points,
+    reference_blocks,
     row_sums,
     select_references,
     unit_directions,
@@ -157,6 +159,12 @@ def rms_spread(points: np.ndarray) -> float:
         return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
 
 
+def _batch_point_grads(units, dist, mask, resid, b: int) -> np.ndarray:
+    """Gradient rows of the points of (d, R, m) unit planes, for a batch of b points with (R, d) residuals."""
+    scale = np.where(mask, 2.0 / (resid.shape[0] * b * dist.clip(min=1e-300)), 0.0)
+    return direction_point_grads(units, resid, scale)
+
+
 def minibatch_point_grads(
     yb: np.ndarray,
     batch: np.ndarray,
@@ -171,18 +179,28 @@ def minibatch_point_grads(
     estimate_r is the control-variate estimate of the population average, so
     only yb's own units carry gradient.
 
-    Three passes run through for_each_block.  The first builds the units of
-    each block of the batch's points and writes them into one point-major
-    array.  The second adds the batch means, in point order, over blocks of
-    references.  The calling thread then makes the estimate, and the third
-    pass takes the gradient rows of each point block.  Every block writes
-    only its own rows, so the bits do not depend on the blocks or the threads.
-    The point-major array and each point block's planes are views of `work`'s
-    buffers (a new Workspace's when not given), so the steps of an epoch can
-    share one workspace: a smaller last batch takes views of their fronts.
+    A batch whose (d, R, b) unit planes fit one block (reference_blocks), as
+    on six-blobs, is one direct call of each kernel on the calling thread:
+    its units, their point sums, the estimate and the gradient rows.  A batch
+    that spans blocks takes three passes through for_each_block.  The first
+    builds the units of each block of the batch's points and writes them
+    into one point-major array.  The second adds the batch means, in point
+    order, over blocks of references.  The calling thread then makes the
+    estimate, and the third pass takes the gradient rows of each point block.
+    Every block writes only its own rows, and each point's and each
+    reference's arithmetic is the one of the direct call, so the bits depend
+    neither on the path nor on the blocks or the threads.  The arrays of
+    either path are views of `work`'s buffers (a new Workspace's when not
+    given), so the steps of an epoch can share one workspace: a smaller last
+    batch takes views of their fronts.
     """
     b, d = yb.shape
     work = Workspace() if work is None else work
+    if len(reference_blocks(b, refs.count * d)) == 1:
+        units, dist, mask = unit_directions(yb, refs.quantiles, work)
+        estimate = control_variate_estimate(bank, point_sums(units, work) / b, bank.batch_mean(batch))
+        return _batch_point_grads(units, dist, mask, estimate - refs.target_indices, b)
+
     rows = work.take("rows", (d, b, refs.count))                       # the batch's units, point-major
     # each point block's planes, kept for the gradient pass: block [s, e)'s are rows s to e of these
     by_point = (
@@ -213,9 +231,7 @@ def minibatch_point_grads(
     grads = np.empty((b, d))
 
     def gradients(block, _):
-        units, dist, mask = planes[block.start]
-        scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
-        grads[block] = direction_point_grads(units, resid, scale)
+        grads[block] = _batch_point_grads(*planes[block.start], resid, b)
 
     for_each_block(gradients, b, refs.count * d)
     return grads

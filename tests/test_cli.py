@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quantmatch.adapters import Adapter
-from quantmatch import bank as bank_mod, cli
+from quantmatch import bank as bank_mod, cli, trainer as trainer_mod
 from quantmatch.cli import load_spec, main
 from quantmatch.loss import BLOCK_BYTES
 from quantmatch.trainer import train
@@ -313,6 +313,18 @@ class TestRun:
         assert payload["error"] == "config"
         assert "[output] dir" in payload["message"]
 
+    @pytest.mark.parametrize("configured", [False, True], ids=["default_dir", "config_dir"])
+    def test_empty_out_flag_exits_2_before_any_dir(self, tmp_path, capsys, monkeypatch, configured):
+        """An empty --out is an empty [output] dir, not a missing flag: nothing is written where the config points."""
+        monkeypatch.chdir(tmp_path)
+        text = TINY_CONFIG.replace("[train]", "[output]\ndir = from_config\n\n[train]") if configured else TINY_CONFIG
+        (tmp_path / "tiny.cfg").write_text(text)
+        assert main(["run", "--config", "tiny.cfg", "--out", ""]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert "[output] dir" in payload["message"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["tiny.cfg"]
+
     def test_config_error_in_training_takes_back_the_output_dirs(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG.replace("reference_count = 20", "reference_count = 21"))
@@ -363,6 +375,32 @@ class TestRun:
         assert records[2].quantile_loss == records[1].quantile_loss
         assert records[2].paired_mse == records[1].paired_mse
         assert records[3].quantile_loss != records[2].quantile_loss
+
+    def test_bank_run_bits_do_not_depend_on_the_step_path(self, tmp_path, monkeypatch):
+        """A bank run whose steps are direct calls gives the bits of the same run with every pass threaded in blocks."""
+        text = TINY_CONFIG.replace("full_batch = true", "full_batch = false\nsnapshot_every = 2")
+        path = tmp_path / "c.cfg"
+        path.write_text(text.replace("batch_size = 60", "batch_size = 16").replace("epochs = 10", "epochs = 5"))
+        runs = []
+
+        def keep_run(*args, **kwargs):
+            adapter, trace = train(*args, **kwargs)
+            runs.append(([repr(r) for r in trace.records], trace.adapted.tobytes(), adapter.params.tobytes()))
+            return adapter, trace
+
+        monkeypatch.setattr(cli, "train", keep_run)
+        steps, passes = [], []
+        step, each_block = trainer_mod.minibatch_point_grads, trainer_mod.for_each_block
+        monkeypatch.setattr(trainer_mod, "minibatch_point_grads", lambda yb, *args: steps.append(len(yb)) or step(yb, *args))
+        monkeypatch.setattr(trainer_mod, "for_each_block", lambda *args: passes.append(None) or each_block(*args))
+        # 60 = 3 * 16 + 12: a short last batch; at (R, d) = (20, 2) each batch fits one block
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "direct")]) == 0
+        assert steps[:4] == [16, 16, 16, 12] and len(steps) == 20 and passes == []
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)
+        monkeypatch.setattr("quantmatch.loss.THREADS", 2)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "threaded")]) == 0
+        assert len(steps) == 2 * 20 and len(passes) == 3 * 20
+        assert runs[1] == runs[0]
 
     # Final values of the tiny config in full batch and in bank mode; rtol=1e-9
     # catches a changed formula but lets ulp-level kernel changes through.
