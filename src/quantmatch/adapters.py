@@ -8,7 +8,7 @@ their Jacobian for chaining adapter gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class Adapter:
     def with_params(self, params: np.ndarray) -> "Adapter":
         if params.shape != self.params.shape:
             raise DimensionMismatchError("parameter vector length mismatch")
-        return replace(self, params=params)
+        return type(self)(self.kind, params, self.dim, self.hidden)
 
     @classmethod
     def identity(cls, dim: int) -> "Adapter":

@@ -62,6 +62,14 @@ def _square_matrix(text: str) -> list[list[float]]:
     return [vals[i * d : (i + 1) * d] for i in range(d)]
 
 
+def _seed(value) -> int:
+    """A seed as an int in [0, 2**64): SplitMix64 reduces seeds modulo 2**64, so one outside would alias one inside."""
+    seed = int(value)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"a seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _boolean(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -72,12 +80,12 @@ def _boolean(text: str) -> bool:
 # every section and key a config may hold, each with the reader of its value
 CONFIG_KEYS = {
     "experiment": {"name": str},
-    "dataset": {"kind": str, "seed": int, "counts": _whole_numbers, "n": int, "noise_sigma": float},
-    "corruption": {"kind": str, "seed": int, "matrix": _square_matrix, "angle_deg": float, "offset": _floats, "sigma": float},
-    "adapter": {"kind": str, "hidden": int, "seed": int, "init_rotation_deg": float},
-    "feature_map": {"kind": str, "out_dim": int, "hidden": int, "seed": int},
+    "dataset": {"kind": str, "seed": _seed, "counts": _whole_numbers, "n": int, "noise_sigma": float},
+    "corruption": {"kind": str, "seed": _seed, "matrix": _square_matrix, "angle_deg": float, "offset": _floats, "sigma": float},
+    "adapter": {"kind": str, "hidden": int, "seed": _seed, "init_rotation_deg": float},
+    "feature_map": {"kind": str, "out_dim": int, "hidden": int, "seed": _seed},
     "train": {"epochs": int, "batch_size": int, "learning_rate": float, "momentum": float, "reference_count": int,
-              "seed": int, "snapshot_every": int, "full_batch": _boolean, "wasserstein_every": int},
+              "seed": _seed, "snapshot_every": int, "full_batch": _boolean, "wasserstein_every": int},
     "output": {"dir": str},
 }
 
@@ -119,7 +127,10 @@ def load_spec(path, out_override=None, seed_override=None) -> ExperimentSpec:
     for section in parser.sections():
         sections[section] = {key: _read(section, key, text) for key, text in parser[section].items()}
     if seed_override is not None:
-        sections["train"]["seed"] = seed_override
+        try:
+            sections["train"]["seed"] = _seed(seed_override)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --seed (for [train] seed): {exc}") from exc
 
     named = (("experiment", "name"), ("output", "dir"))
     empty = [f"[{section}] {key}" for section, key in named if sections[section].get(key) == ""]
@@ -407,6 +418,10 @@ def cmd_run(args) -> int:
 
 def _verify_usage_error(args) -> str | None:
     """Why the verify arguments cannot run, or None."""
+    try:
+        _seed(args.seed)
+    except ValueError as exc:
+        return f"--seed: {exc}"
     if args.trials < 1:
         return f"--trials must be >= 1, got {args.trials}"
     if args.n < 2:

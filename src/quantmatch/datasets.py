@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, PointCloud
+from .geometry import DegenerateCloudError, DimensionMismatchError, PointCloud
 from .rng import SplitMix64
 
 # per-class counts kept within 80-120 and summing to 510 so exact transport
@@ -157,7 +157,11 @@ def apply_corruption(clean: LabeledCloud, corruption: Corruption, seed: int = 0)
             out = pts + corruption.sigma * rng.normals(pts.shape)
         else:
             raise ValueError(f"unknown corruption kind {corruption.kind!r}")
-    return LabeledCloud(cloud=PointCloud(out), labels=clean.labels.copy())
+    try:
+        cloud = PointCloud(out)
+    except DegenerateCloudError:  # a clean PointCloud's points are not all identical, so the corruption merged them
+        raise DegenerateCloudError(f"the {corruption.kind} corruption maps every point to the same point") from None
+    return LabeledCloud(cloud=cloud, labels=clean.labels.copy())
 
 
 def cloud_to_csv(labeled: LabeledCloud, path) -> None:

@@ -301,6 +301,7 @@ def direction_point_grads(
     resid: np.ndarray,
     scale: np.ndarray,
     previous: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """-sum_r scale[r, j] * (I - v v^T) resid[r] for v = units[:, r, j], one row per point.
 
@@ -312,24 +313,39 @@ def direction_point_grads(
     carried on: its sums head this block's terms, so the references are still
     added one after another, as in a single block.  Each point's row depends
     only on that point's units and scale, so blocks of points give the rows of
-    the whole batch.
+    the whole batch.  The (R, m) dot products, their partial products and the
+    terms are work's "dots", "part" and "term" buffers (a new Workspace's when
+    not given); "term" always holds a row for the carry, so that the carrying
+    blocks reuse the first block's buffer.
     """
-    d, _, m = units.shape
-    dots = plane_dot(units, resid.T[:, :, None])                 # (R, m)
-    terms = ((resid[:, k, None] - plane * dots) * scale for k, plane in enumerate(units))
+    work = Workspace() if work is None else work
+    d, count, m = units.shape
+    carry = previous is not None
+    dots = plane_dot(units, resid.T[:, :, None], work.take("dots", (count, m)), work.take("part", (count, m)))
     if m == 1:
         # numpy adds a lone (R, 1) column pairwise, but an (R, d) block row by row;
         # at d = 1 every term is a zero (the projection off a 1-D unit vector vanishes)
-        block = np.hstack(list(terms))
-        if previous is not None:
-            block = np.vstack((-previous, block))
+        block = work.take("term", (count + 1, d))[1 - carry :]
+        if carry:
+            np.negative(previous, out=block[:1])
+        for k, plane in enumerate(units):
+            _term(plane, dots, resid[:, k, None], scale, block[carry:, k : k + 1])
         return -block.sum(axis=0, keepdims=True)
     grads = np.empty((m, d))
-    for k, term in enumerate(terms):
-        if previous is not None:
-            term = np.vstack((-previous[:, k], term))
-        grads[:, k] = term.sum(axis=0)
-    return -grads
+    terms = work.take("term", (count + 1, m))[1 - carry :]
+    for k, plane in enumerate(units):
+        if carry:
+            np.negative(previous[:, k], out=terms[0])
+        _term(plane, dots, resid[:, k, None], scale, terms[carry:])
+        grads[:, k] = terms.sum(axis=0)
+    return np.negative(grads, out=grads)
+
+
+def _term(plane: np.ndarray, dots: np.ndarray, resid_k: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
+    """(resid_k - plane * dots) * scale, one coordinate's terms, into `out`."""
+    np.multiply(plane, dots, out=out)
+    np.subtract(resid_k, out, out=out)
+    out *= scale
 
 
 def kept_counts(mask: np.ndarray) -> np.ndarray:
@@ -392,7 +408,11 @@ def quantile_loss_on_points(
         units, dist, mask = unit_directions(points, refs.quantiles[block], work)
         counts = kept_counts(mask)
         resid[block] = point_sums(units, work) / counts[:, None] - refs.target_indices[block]
-        scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
+        if mask.all():  # every pair kept, so every dist is at least COINCIDENCE_EPS
+            scale = np.multiply(counts[:, None], dist, out=work.take("scale", dist.shape))
+            np.divide(1.0, scale, out=scale)
+        else:
+            scale = np.where(mask, 1.0 / (counts[:, None] * dist.clip(min=1e-300)), 0.0)
         scale *= 2.0 / refs.count
-        grads = direction_point_grads(units, resid[block], scale, grads)
+        grads = direction_point_grads(units, resid[block], scale, grads, work)
     return residual_loss(resid), grads

@@ -132,7 +132,7 @@ def sgd_step(
     grads = np.asarray(grads, dtype=float)
     if grads.shape != adapter.params.shape:
         raise ConfigError("gradient length does not match parameter count")
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise NonFiniteGradientError("non-finite gradient")
     if velocity is None:
         velocity = np.zeros_like(adapter.params)
@@ -159,10 +159,17 @@ def rms_spread(points: np.ndarray) -> float:
         return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
 
 
-def _batch_point_grads(units, dist, mask, resid, b: int) -> np.ndarray:
-    """Gradient rows of the points of (d, R, m) unit planes, for a batch of b points with (R, d) residuals."""
-    scale = np.where(mask, 2.0 / (resid.shape[0] * b * dist.clip(min=1e-300)), 0.0)
-    return direction_point_grads(units, resid, scale)
+def _batch_point_grads(units, dist, mask, resid, b: int, work: Workspace) -> np.ndarray:
+    """Gradient rows of the points of (d, R, m) unit planes, for a batch of b points with (R, d) residuals.
+
+    The scale and direction_point_grads' planes are work's buffers.
+    """
+    if mask.all():  # every pair kept, so every dist is at least COINCIDENCE_EPS
+        scale = np.multiply(resid.shape[0] * b, dist, out=work.take("scale", dist.shape))
+        np.divide(2.0, scale, out=scale)
+    else:
+        scale = np.where(mask, 2.0 / (resid.shape[0] * b * dist.clip(min=1e-300)), 0.0)
+    return direction_point_grads(units, resid, scale, work=work)
 
 
 def minibatch_point_grads(
@@ -199,7 +206,7 @@ def minibatch_point_grads(
     if len(reference_blocks(b, refs.count * d)) == 1:
         units, dist, mask = unit_directions(yb, refs.quantiles, work)
         estimate = control_variate_estimate(bank, point_sums(units, work) / b, bank.batch_mean(batch))
-        return _batch_point_grads(units, dist, mask, estimate - refs.target_indices, b)
+        return _batch_point_grads(units, dist, mask, estimate - refs.target_indices, b, work)
 
     rows = work.take("rows", (d, b, refs.count))                       # the batch's units, point-major
     # each point block's planes, kept for the gradient pass: block [s, e)'s are rows s to e of these
@@ -230,8 +237,8 @@ def minibatch_point_grads(
     resid = estimate - refs.target_indices                             # (R, d)
     grads = np.empty((b, d))
 
-    def gradients(block, _):
-        grads[block] = _batch_point_grads(*planes[block.start], resid, b)
+    def gradients(block, slot):
+        grads[block] = _batch_point_grads(*planes[block.start], resid, b, slot)
 
     for_each_block(gradients, b, refs.count * d)
     return grads
@@ -316,7 +323,7 @@ def train(
             adapter, velocity = sgd_step(adapter, param_grad, cfg, velocity)
         except NonFiniteGradientError:
             trace.aborted_steps += 1
-        return float(np.linalg.norm(param_grad))
+        return math.sqrt(param_grad.dot(param_grad))
 
     for epoch in range(cfg.epochs + 1):
         aborted = trace.aborted_steps

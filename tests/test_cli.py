@@ -517,6 +517,45 @@ class TestRun:
         assert captured.err == ""
         assert not (tmp_path / "o").exists()
 
+    def test_shift_that_absorbs_the_cloud_exits_2_naming_the_corruption(self, tmp_path, capsys):
+        """An offset so large that every shifted point rounds to it is the corruption's fault, not a degenerate clean cloud."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace("kind = rotation\nangle_deg = 180", "kind = shift\noffset = 1e308, 1e308"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "config", "message": "bad value in [corruption]: the shift corruption maps every point to the same point"}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edits",
+        [{}, {"batch_size = 60": "batch_size = 16", "full_batch = true": "full_batch = false"}],
+        ids=["full_batch", "bank"],
+    )
+    def test_grad_norm_is_the_norm_of_the_epochs_last_gradient(self, tmp_path, monkeypatch, edits):
+        traces = kept_traces(monkeypatch)
+        given = []
+        sgd_step = trainer_mod.sgd_step
+
+        def recorded(adapter, grads, *args, **kwargs):
+            given.append(np.array(grads))
+            return sgd_step(adapter, grads, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "sgd_step", recorded)
+        text = TINY_CONFIG.replace("epochs = 10", "epochs = 3")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        steps = 4 if edits else 1  # per epoch: ceil(60 / 16) batches, or one full batch
+        records = traces[0].records
+        assert len(given) == 3 * steps and len(records) == 4
+        assert records[0].grad_norm == 0.0
+        for k in (1, 2, 3):
+            assert records[k].grad_norm == float(np.linalg.norm(given[k * steps - 1])), k
+
     def test_small_well_conditioned_matrix_runs(self, tmp_path):
         # its determinant is 1e-10, but its rows are orthogonal
         path = tmp_path / "c.cfg"
@@ -688,3 +727,56 @@ class TestShippedConfigs:
         assert summary["flags"]["mse_plateau"] is True
         ratio = summary["final_metrics"]["wasserstein2"] / summary["initial_metrics"]["wasserstein2"]
         assert ratio < 0.2
+
+
+SEED_SECTIONS = ("dataset", "corruption", "adapter", "feature_map", "train")
+
+
+def with_seed(section: str, value) -> str:
+    """TINY_CONFIG with `seed = value` in the section, in place of any seed it has."""
+    text = TINY_CONFIG.replace("seed = 3\n", "").replace("seed = 5\n", "")
+    return text.replace(f"[{section}]\n", f"[{section}]\nseed = {value}\n")
+
+
+class TestSeeds:
+    """A seed outside [0, 2**64), which SplitMix64 would reduce onto one inside, exits 2 before anything is made."""
+
+    @pytest.mark.parametrize("section", SEED_SECTIONS)
+    @pytest.mark.parametrize("value", [-1, 2**64, 2**64 + 7])
+    def test_config_seed_out_of_range_exits_2(self, tmp_path, capsys, section, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_seed(section, value))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert payload["message"] == f"bad value for [{section}] seed: a seed must be in [0, 2**64), got {value}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section", SEED_SECTIONS)
+    @pytest.mark.parametrize("value", [0, 2**64 - 1])
+    def test_config_seed_at_the_ends_of_the_range_reads(self, tmp_path, section, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(with_seed(section, value))
+        spec = load_spec(path)
+        assert (spec.train.seed if section == "train" else getattr(spec, section)["seed"]) == value
+
+    @pytest.mark.parametrize("value", ["-3", str(2**64)])
+    def test_run_seed_flag_out_of_range_exits_2_before_any_dir(self, tiny_config, tmp_path, capsys, value):
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o"), "--seed", value]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert "--seed" in payload["message"] and "[0, 2**64)" in payload["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_run_seed_flag_at_the_top_of_the_range_reads(self, tiny_config):
+        assert load_spec(tiny_config, seed_override=2**64 - 1).train.seed == 2**64 - 1
+
+    @pytest.mark.parametrize("suite", ["wasserstein", "gradients", "variance"])
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_verify_seed_flag_out_of_range_exits_2(self, capsys, suite, value):
+        assert main(["verify", suite, "--seed", value]) == 2
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1
+        error = json.loads(out[0])
+        assert error["error"] == "usage"
+        assert error["message"] == f"--seed: a seed must be in [0, 2**64), got {value}"

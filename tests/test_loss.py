@@ -38,6 +38,7 @@ from quantmatch.loss import (
     MIN_BLOCK_REFS,
     ReferenceSet,
     Workspace,
+    direction_point_grads,
     for_each_block,
     index_averages,
     plane_dot,
@@ -965,6 +966,29 @@ class TestWorkspaces:
             assert got.tobytes() == want.tobytes()
             for buf in work.values():
                 buf[...] = True if buf.dtype == bool else np.nan
+
+    @pytest.mark.parametrize("count, m", [(60, 510), (30600, 1)])  # one (R, m) plane is 244.8 kB either way
+    @pytest.mark.parametrize("carry", [False, True], ids=["one_block", "previous_carry"])
+    def test_point_grads_in_a_warm_workspace_make_no_plane(self, count, m, carry):
+        """A second direction_point_grads call into one workspace allocates less than an (R, m) plane and gives the fresh bits."""
+        rng = SplitMix64.stream("point_grads_workspace", m)
+        work = Workspace()
+        units, dist, _ = unit_directions(rng.normals((m, 2)), rng.normals((count, 2)), work)
+        resid = 0.1 * rng.normals((count, 2))
+        scale = 1.0 / dist
+        previous = rng.normals((m, 2)) if carry else None
+        want = direction_point_grads(units, resid, scale, previous)
+        direction_point_grads(units, resid, scale, previous, work)
+        tracemalloc.start()
+        try:
+            got = direction_point_grads(units, resid, scale, previous, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 8 * count * m, peak
+        direction_point_grads(units, -resid, scale, previous, work)  # the result is no view of the workspace
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_pass_keeps_one_unit_buffer_per_slot(self, monkeypatch, threads):
