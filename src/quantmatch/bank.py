@@ -9,7 +9,6 @@ parameters are close to the current ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +25,7 @@ from .loss import (
     row_sums,
     unit_directions,
 )
-from .oracles import ENUMERATION_LIMIT, enumerate_batches
+from .oracles import ENUMERATION_LIMIT, enumerate_batches, exceeds_enumeration_limit
 from .rng import SplitMix64
 
 
@@ -111,12 +110,13 @@ def refresh_snapshot(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet) 
     return bank
 
 
-def control_variate_estimate(bank: MemoryBank, current_h: np.ndarray, snapshot_h: np.ndarray) -> np.ndarray:
-    """Per-reference estimate of the population average at the current parameters."""
-    if current_h.shape != bank.snapshot_avgs.shape or snapshot_h.shape != bank.snapshot_avgs.shape:
+def control_variate_estimate(bank: MemoryBank, current_h: np.ndarray, snapshot_h: np.ndarray, block: slice = slice(None)) -> np.ndarray:
+    """Per-reference estimate of the population average at the current parameters, for every reference or one block of them."""
+    snapshot_avgs = bank.snapshot_avgs[block]
+    if current_h.shape != snapshot_avgs.shape or snapshot_h.shape != snapshot_avgs.shape:
         raise DimensionMismatchError("per-reference batch averages have wrong shape")
     # associated so identical batch terms cancel exactly
-    return (current_h - snapshot_h) + bank.snapshot_avgs
+    return (current_h - snapshot_h) + snapshot_avgs
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def estimator_variance(
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
     if mode == "exhaustive":
-        if math.comb(n, b) > ENUMERATION_LIMIT:
+        if exceeds_enumeration_limit(n, b):
             raise ValueError(f"exhaustive mode limited to C(n, b) <= {ENUMERATION_LIMIT}")
     elif mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")

@@ -428,7 +428,7 @@ def _verify_usage_error(args) -> str | None:
         return f"--n must be >= 2, got {args.n}"
     if not 1 <= args.b <= args.n:
         return f"--b must be in [1, {args.n}], got {args.b}"
-    if args.suite in ("variance", "minibatch-gradients") and math.comb(args.n, args.b) > oracles.ENUMERATION_LIMIT:
+    if args.suite in ("variance", "minibatch-gradients") and oracles.exceeds_enumeration_limit(args.n, args.b):
         return f"C({args.n}, {args.b}) batches exceed the enumeration limit {oracles.ENUMERATION_LIMIT}"
     return None
 

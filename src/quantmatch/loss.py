@@ -25,17 +25,14 @@ from .geometry import (
 )
 from .rng import SplitMix64
 
-# Reference selection, the loss and the bank's sweep run over blocks of
-# references, and a minibatch step whose batch spans blocks over blocks of the
-# batch's points, whose (d, R, m) unit planes take at most BLOCK_BYTES, with
-# at least MIN_BLOCK_REFS references or points each (one reference alone takes
-# row_sums' cumsum path, one point alone direction_point_grads' m == 1 path).
-# A step whose batch fits one block is one direct call of each kernel.  Each
-# reference's and each point's arithmetic is the same in any block, so the
-# outputs do not depend on the block size.  index_averages and a step in
-# blocks share their blocks between THREADS threads (for_each_block), with
-# blocks of BLOCK_BYTES // THREADS, so the bytes in flight stay within one
-# BLOCK_BYTES.
+# Reference selection, the loss, the bank's sweep and the minibatch step run
+# over blocks of references, whose (d, R, m) unit planes take at most
+# BLOCK_BYTES, with at least MIN_BLOCK_REFS references each (one reference
+# alone takes row_sums' cumsum path).  Each reference's arithmetic is the same
+# in any block, and the gradient rows carry their sums from block to block, so
+# the outputs do not depend on the block size.  index_averages shares its
+# blocks between THREADS threads (for_each_block), with blocks of
+# BLOCK_BYTES // THREADS, so the bytes in flight stay within one BLOCK_BYTES.
 BLOCK_BYTES = 4 << 20
 MIN_BLOCK_REFS = 2
 THREADS = min(2, len(os.sched_getaffinity(0)))
@@ -60,15 +57,13 @@ class Workspace(dict):
 
 
 def reference_blocks(count: int, plane_size: int, budget: int | None = None, parts: int = 1) -> list[slice]:
-    """Consecutive slices of `count` items, references or points, each against plane_size values.
+    """Consecutive slices of `count` references, each against plane_size = m * d values for m points.
 
-    plane_size is m * d for references against m points, and R * d for
-    points against R references.  The cut is the fewest blocks whose unit
-    planes take at most `budget` bytes (BLOCK_BYTES when not given), or hold
-    MIN_BLOCK_REFS items where the budget holds fewer.  Their count is
-    rounded up to a multiple of `parts` unless that would leave a block
-    below MIN_BLOCK_REFS items.  Block sizes differ by at most one, the
-    larger blocks first.
+    The cut is the fewest blocks whose unit planes take at most `budget`
+    bytes (BLOCK_BYTES when not given), or hold MIN_BLOCK_REFS references
+    where the budget holds fewer.  Their count is rounded up to a multiple
+    of `parts` unless that would leave a block below MIN_BLOCK_REFS
+    references.  Block sizes differ by at most one, the larger blocks first.
     """
     budget = BLOCK_BYTES if budget is None else budget
     size = max(MIN_BLOCK_REFS, budget // (8 * max(plane_size, 1)))
@@ -85,9 +80,8 @@ def reference_blocks(count: int, plane_size: int, budget: int | None = None, par
 def for_each_block(fn, count: int, plane_size: int) -> None:
     """Call fn(block, work) on every block of reference_blocks(count, plane_size), on up to THREADS threads.
 
-    The blocks cut references or points, whichever `count` counts.  `work`
-    is the Workspace of the slot that runs the block, one per thread and
-    pass: slot 0 for the calling thread, slot 1 for the helper.
+    `work` is the Workspace of the slot that runs the block, one per thread
+    and pass: slot 0 for the calling thread, slot 1 for the helper.
 
     fn must write only its own block's slices of its outputs; then the
     outputs do not depend on which thread ran a block, or when.  With one
@@ -311,12 +305,10 @@ def direction_point_grads(
     Works one (R, m) coordinate plane at a time; returns an (m, d) array.
     `previous`, this function's result for the earlier reference blocks, is
     carried on: its sums head this block's terms, so the references are still
-    added one after another, as in a single block.  Each point's row depends
-    only on that point's units and scale, so blocks of points give the rows of
-    the whole batch.  The (R, m) dot products, their partial products and the
-    terms are work's "dots", "part" and "term" buffers (a new Workspace's when
-    not given); "term" always holds a row for the carry, so that the carrying
-    blocks reuse the first block's buffer.
+    added one after another, as in a single block.  The (R, m) dot products,
+    their partial products and the terms are work's "dots", "part" and "term"
+    buffers (a new Workspace's when not given); "term" always holds a row for
+    the carry, so that the carrying blocks reuse the first block's buffer.
     """
     work = Workspace() if work is None else work
     d, count, m = units.shape

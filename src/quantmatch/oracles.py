@@ -80,10 +80,23 @@ def finite_diff_grad(fn: Callable[[np.ndarray], float], theta) -> np.ndarray:
     return grad
 
 
+def exceeds_enumeration_limit(n: int, b: int) -> bool:
+    """Whether C(n, b) > ENUMERATION_LIMIT, from C(n, i + 1) = C(n, i) * (n - i) / (i + 1), stopping once past the limit.
+
+    C(n, i) grows with i, and is at least 2^i, up to i = min(b, n - b), so it stops within 20 steps however large n is.
+    """
+    count = 1
+    for i in range(min(b, n - b)):
+        count = count * (n - i) // (i + 1)
+        if count > ENUMERATION_LIMIT:
+            return True
+    return False
+
+
 def enumerate_batches(n: int, b: int) -> Iterator[tuple[int, ...]]:
     """All b-subsets of range(n) in lexicographic order."""
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} invalid for population {n}")
-    if math.comb(n, b) > ENUMERATION_LIMIT:
+    if exceeds_enumeration_limit(n, b):
         raise ValueError(f"C({n},{b}) exceeds enumeration limit {ENUMERATION_LIMIT}")
     return combinations(range(n), b)

@@ -33,11 +33,9 @@ from .loss import (
     ReferenceSet,
     Workspace,
     direction_point_grads,
-    for_each_block,
     point_sums,
     quantile_loss_on_points,
     reference_blocks,
-    row_sums,
     select_references,
     unit_directions,
 )
@@ -159,19 +157,6 @@ def rms_spread(points: np.ndarray) -> float:
         return float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
 
 
-def _batch_point_grads(units, dist, mask, resid, b: int, work: Workspace) -> np.ndarray:
-    """Gradient rows of the points of (d, R, m) unit planes, for a batch of b points with (R, d) residuals.
-
-    The scale and direction_point_grads' planes are work's buffers.
-    """
-    if mask.all():  # every pair kept, so every dist is at least COINCIDENCE_EPS
-        scale = np.multiply(resid.shape[0] * b, dist, out=work.take("scale", dist.shape))
-        np.divide(2.0, scale, out=scale)
-    else:
-        scale = np.where(mask, 2.0 / (resid.shape[0] * b * dist.clip(min=1e-300)), 0.0)
-    return direction_point_grads(units, resid, scale, work=work)
-
-
 def minibatch_point_grads(
     yb: np.ndarray,
     batch: np.ndarray,
@@ -186,61 +171,28 @@ def minibatch_point_grads(
     estimate_r is the control-variate estimate of the population average, so
     only yb's own units carry gradient.
 
-    A batch whose (d, R, b) unit planes fit one block (reference_blocks), as
-    on six-blobs, is one direct call of each kernel on the calling thread:
-    its units, their point sums, the estimate and the gradient rows.  A batch
-    that spans blocks takes three passes through for_each_block.  The first
-    builds the units of each block of the batch's points and writes them
-    into one point-major array.  The second adds the batch means, in point
-    order, over blocks of references.  The calling thread then makes the
-    estimate, and the third pass takes the gradient rows of each point block.
-    Every block writes only its own rows, and each point's and each
-    reference's arithmetic is the one of the direct call, so the bits depend
-    neither on the path nor on the blocks or the threads.  The arrays of
-    either path are views of `work`'s buffers (a new Workspace's when not
-    given), so the steps of an epoch can share one workspace: a smaller last
-    batch takes views of their fronts.
+    One serial loop over blocks of references (reference_blocks), as the
+    loss with its gradient runs: each block builds the units of all b points
+    toward its references, their point sums, its estimate and its gradient
+    terms, and direction_point_grads carries the rows' sums from block to
+    block, so the bits do not depend on the blocks.  On six-blobs the batch
+    fits one block.  The step holds one block's unit planes and the (b, d)
+    rows; the planes are views of `work`'s buffers (a new Workspace's when
+    not given), so the steps of an epoch can share one workspace: a smaller
+    last batch takes views of their fronts.
     """
     b, d = yb.shape
     work = Workspace() if work is None else work
-    if len(reference_blocks(b, refs.count * d)) == 1:
-        units, dist, mask = unit_directions(yb, refs.quantiles, work)
-        estimate = control_variate_estimate(bank, point_sums(units, work) / b, bank.batch_mean(batch))
-        return _batch_point_grads(units, dist, mask, estimate - refs.target_indices, b, work)
-
-    rows = work.take("rows", (d, b, refs.count))                       # the batch's units, point-major
-    # each point block's planes, kept for the gradient pass: block [s, e)'s are rows s to e of these
-    by_point = (
-        work.take("units", (b, d * refs.count)),
-        work.take("dist", (b, refs.count)),
-        work.take("mask", (b, refs.count), bool),
-    )
-    planes = {}                                                        # block start -> (units, dist, mask)
-
-    def directions(block, slot):
-        units, dist, mask = (buf[block].reshape(-1) for buf in by_point)
-        held = Workspace(units=units, dist=dist, mask=mask, part=slot.take("part", dist.shape))
-        units, dist, mask = unit_directions(yb[block], refs.quantiles, held)
-        rows[:, block] = units.transpose(0, 2, 1)
-        planes[block.start] = units, dist, mask
-
-    for_each_block(directions, b, refs.count * d)
-    current = np.empty_like(refs.target_indices)                       # (R, d) batch means, at theta
-    snapshot = np.empty_like(refs.target_indices)                      # and at theta_snap
-
-    def batch_means(block, _):
-        current[block] = row_sums(rows[:, :, block]) / b
-        snapshot[block] = bank.batch_mean(batch, block)
-
-    for_each_block(batch_means, refs.count, b * d)
-    estimate = control_variate_estimate(bank, current, snapshot)
-    resid = estimate - refs.target_indices                             # (R, d)
-    grads = np.empty((b, d))
-
-    def gradients(block, slot):
-        grads[block] = _batch_point_grads(*planes[block.start], resid, b, slot)
-
-    for_each_block(gradients, b, refs.count * d)
+    grads = None
+    for block in reference_blocks(refs.count, b * d):
+        units, dist, mask = unit_directions(yb, refs.quantiles[block], work)
+        estimate = control_variate_estimate(bank, point_sums(units, work) / b, bank.batch_mean(batch, block), block)
+        if mask.all():  # every pair kept, so every dist is at least COINCIDENCE_EPS
+            scale = np.multiply(refs.count * b, dist, out=work.take("scale", dist.shape))
+            np.divide(2.0, scale, out=scale)
+        else:
+            scale = np.where(mask, 2.0 / (refs.count * b * dist.clip(min=1e-300)), 0.0)
+        grads = direction_point_grads(units, estimate - refs.target_indices[block], scale, grads, work)
     return grads
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -377,7 +378,7 @@ class TestRun:
         assert records[3].quantile_loss != records[2].quantile_loss
 
     def test_bank_run_bits_do_not_depend_on_the_step_path(self, tmp_path, monkeypatch):
-        """A bank run whose steps are direct calls gives the bits of the same run with every pass threaded in blocks."""
+        """A bank run whose steps fit one reference block gives the bits of the same run in blocks of two references, with THREADS at 2."""
         text = TINY_CONFIG.replace("full_batch = true", "full_batch = false\nsnapshot_every = 2")
         path = tmp_path / "c.cfg"
         path.write_text(text.replace("batch_size = 60", "batch_size = 16").replace("epochs = 10", "epochs = 5"))
@@ -389,17 +390,16 @@ class TestRun:
             return adapter, trace
 
         monkeypatch.setattr(cli, "train", keep_run)
-        steps, passes = [], []
-        step, each_block = trainer_mod.minibatch_point_grads, trainer_mod.for_each_block
+        steps = []
+        step = trainer_mod.minibatch_point_grads
         monkeypatch.setattr(trainer_mod, "minibatch_point_grads", lambda yb, *args: steps.append(len(yb)) or step(yb, *args))
-        monkeypatch.setattr(trainer_mod, "for_each_block", lambda *args: passes.append(None) or each_block(*args))
         # 60 = 3 * 16 + 12: a short last batch; at (R, d) = (20, 2) each batch fits one block
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "direct")]) == 0
-        assert steps[:4] == [16, 16, 16, 12] and len(steps) == 20 and passes == []
+        assert steps[:4] == [16, 16, 16, 12] and len(steps) == 20
         monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)
         monkeypatch.setattr("quantmatch.loss.THREADS", 2)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "threaded")]) == 0
-        assert len(steps) == 2 * 20 and len(passes) == 3 * 20
+        assert len(steps) == 2 * 20
         assert runs[1] == runs[0]
 
     # Final values of the tiny config in full batch and in bank mode; rtol=1e-9
@@ -628,7 +628,7 @@ class TestVerify:
         assert "PASS minibatch-gradients[mlp1]: 56 batches" in out
 
     def test_minibatch_gradients_suite_threaded_step(self, capsys, monkeypatch):
-        """Blocks of two points (and references) on two threads print the lines of one block on one thread."""
+        """Blocks of two references, with THREADS at 2, print the lines of one block with THREADS at 1."""
         args = ["verify", "minibatch-gradients", "--n", "10", "--b", "4"]
         lines = []
         for threads, budget in ((1, BLOCK_BYTES), (2, 1)):
@@ -684,6 +684,13 @@ class TestVerify:
         error = json.loads(out[0])
         assert error["error"] == "usage"
         assert named in error["message"]
+
+    def test_enumeration_limit_exits_2_without_counting_the_batches(self, capsys):
+        start = time.perf_counter()
+        assert main(["verify", "variance", "--n", "1000000000", "--b", "500000000"]) == 2
+        assert time.perf_counter() - start < 0.5
+        error = json.loads(capsys.readouterr().out)
+        assert error == {"error": "usage", "message": "C(1000000000, 500000000) batches exceed the enumeration limit 1000000"}
 
     def test_usage_error_exit_code(self):
         assert main(["verify", "not-a-suite"]) == 2

@@ -537,17 +537,19 @@ class TestBoundedMemory:
     # allocated its own arrays (3.54 and 3.39 BLOCK_BYTES), plus one block
     # shared by the slots: the workspaces may cost at most that much.
     def test_minibatch_epoch_holds_one_batch(self, clouds):
+        """An epoch of b = 256 steps, and one step at b = n, each hold one reference block's planes and the batch's rows."""
         source, current, refs = clouds
         bank = initialize_bank(source, refs)
         order = np.asarray(SplitMix64.stream("bounded_step", 0).permutation(self.N), dtype=int)
 
-        def epoch():
+        def epoch(b):
             work = Workspace()  # one epoch's step buffers, as train keeps them
-            for start in range(0, self.N, 256):  # 15 batches of 256 and one of 240
-                batch = order[start : start + 256]
+            for start in range(0, self.N, b):  # at b = 256, 15 batches of 256 and one of 240
+                batch = order[start : start + b]
                 minibatch_point_grads(current.points[batch], batch, bank, refs, work)
 
-        assert self.peak_bytes(epoch) <= 4.5 * BLOCK_BYTES
+        for b in (256, self.N):
+            assert self.peak_bytes(lambda: epoch(b)) <= 4.5 * BLOCK_BYTES, b
 
     def test_refreshing_sweep_with_moments(self, clouds):
         source, current, refs = clouds
@@ -731,7 +733,7 @@ class TestThreadedBlocks:
 
 
 class TestThreadedStep:
-    """The minibatch step over blocks of points on two threads gives the bits of one block on one thread."""
+    """The minibatch step over blocks of two references, with THREADS at 2, gives the bits of one block with THREADS at 1."""
 
     @staticmethod
     def case(b, count, d, seed=0):
@@ -747,13 +749,12 @@ class TestThreadedStep:
     def one_block(monkeypatch, yb, batch, bank, refs):
         monkeypatch.setattr("quantmatch.loss.THREADS", 1)
         monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", BLOCK_BYTES)
-        b, d = yb.shape
-        assert len(reference_blocks(b, refs.count * d)) == len(reference_blocks(refs.count, b * d)) == 1
+        assert len(reference_blocks(refs.count, yb.size)) == 1
         return minibatch_point_grads(yb, batch, bank, refs).tobytes()
 
     @staticmethod
     def threaded(monkeypatch, yb, batch, bank, refs):
-        """Blocks of two points (and two references) on two threads."""
+        """Blocks of two references, with THREADS at 2; the step starts no thread."""
         monkeypatch.setattr("quantmatch.loss.THREADS", 2)
         monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)
         return minibatch_point_grads(yb, batch, bank, refs).tobytes()
@@ -761,26 +762,27 @@ class TestThreadedStep:
     @pytest.mark.parametrize(
         "b, count, d",
         [
-            (8, 9, 3),   # four blocks of two points
-            (9, 12, 1),  # a last block of one point, whose gradient terms are all zero at d = 1
-            (9, 12, 2),  # a last block of one point, whose (R, 1) columns numpy would add pairwise
-            (25, 40, 2),  # thirteen point blocks, twenty reference blocks
+            (8, 9, 3),   # a last block of one reference, whose batch mean takes row_sums' cumsum path
+            (9, 12, 1),  # six blocks, whose gradient terms are all zero at d = 1
+            (9, 12, 2),  # six blocks of an odd batch
+            (25, 40, 2),  # twenty reference blocks
+            (1, 5, 2),   # one point against three blocks: direction_point_grads' m == 1 path carries its sums
         ],
     )
     def test_two_threads_give_the_one_block_bits(self, monkeypatch, b, count, d):
         yb, batch, bank, refs = self.case(b, count, d)
         want = self.one_block(monkeypatch, yb, batch, bank, refs)
-        assert len(reference_blocks(b, refs.count * d, 0)) == (b + 1) // 2
-        threads = set()
+        builds = []
 
         def recorded(points, ref_points, work=None):
-            threads.add(threading.get_ident())
-            time.sleep(1e-3)  # hand over the GIL, so that both threads take blocks
+            builds.append((threading.get_ident(), len(points), len(ref_points)))
             return unit_directions(points, ref_points, work)
 
         monkeypatch.setattr("quantmatch.trainer.unit_directions", recorded)
         assert self.threaded(monkeypatch, yb, batch, bank, refs) == want
-        assert threading.get_ident() in threads and len(threads) >= 2
+        # one build of all b points per block of two references, on the calling thread
+        sizes = [2] * (count // 2) + [1] * (count % 2)
+        assert builds == [(threading.get_ident(), b, size) for size in sizes]
 
     @pytest.mark.parametrize("on_reference", [False, True])
     def test_one_point_and_one_reference(self, monkeypatch, on_reference):

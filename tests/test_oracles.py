@@ -12,6 +12,7 @@ from quantmatch import (
     wasserstein2,
 )
 from quantmatch.geometry import DimensionMismatchError
+from quantmatch.oracles import ENUMERATION_LIMIT, exceeds_enumeration_limit
 from quantmatch.rng import SplitMix64
 
 
@@ -142,3 +143,13 @@ class TestEnumerateBatches:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             enumerate_batches(60, 30)
+
+    def test_limit_rule_is_the_full_binomial_rule(self):
+        for n in range(1, 401):
+            for b in range(1, n + 1):
+                assert exceeds_enumeration_limit(n, b) == (math.comb(n, b) > ENUMERATION_LIMIT), (n, b)
+        assert math.comb(1414, 2) == 998_991 and math.comb(1415, 2) == 1_000_405
+        assert not exceeds_enumeration_limit(10**6, 1)
+        assert not exceeds_enumeration_limit(1414, 2)
+        assert exceeds_enumeration_limit(1415, 2)
+        assert exceeds_enumeration_limit(10**9, 5 * 10**8)

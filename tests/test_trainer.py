@@ -366,37 +366,35 @@ class TestMinibatchGradient:
 
 
 class TestStepPaths:
-    """The step is one direct call where its batch fits one block, and three for_each_block passes where it spans blocks."""
+    """The step builds the units of all b points once per reference block, with the bits of one block."""
 
     @staticmethod
     def sixblobs_step(monkeypatch, threads, budget):
-        """One b = 32 step of a six-blobs bank run, (R, d) = (60, 2): its gradient bytes, unit builds and passes."""
+        """One b = 32 step of a six-blobs bank run, (R, d) = (60, 2): its gradient bytes and unit builds."""
         clean, target, src, _ = sixblobs_setup()
         refs = select_references(src, 60, seed=5)
         bank = initialize_bank(src, refs)
         batch = np.asarray(SplitMix64.stream("trainer_batches", 5).permutation(clean.n)[:32], dtype=int)
         monkeypatch.setattr("quantmatch.loss.THREADS", threads)
         monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", budget)
-        builds, passes = [], []
-        build, each_block = trainer_mod.unit_directions, trainer_mod.for_each_block
-        monkeypatch.setattr(trainer_mod, "unit_directions", lambda *args: builds.append(args[0].shape[0]) or build(*args))
-        monkeypatch.setattr(trainer_mod, "for_each_block", lambda *args: passes.append(args[1:]) or each_block(*args))
+        builds = []
+        build = trainer_mod.unit_directions
+        monkeypatch.setattr(trainer_mod, "unit_directions", lambda *args: builds.append((len(args[0]), len(args[1]))) or build(*args))
         grads = minibatch_point_grads(target.cloud.points[batch], batch, bank, refs)
-        return grads.tobytes(), builds, passes
+        return grads.tobytes(), builds
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_block_is_one_direct_call(self, monkeypatch, threads):
-        assert len(loss_mod.reference_blocks(32, 60 * 2)) == 1
-        _, builds, passes = self.sixblobs_step(monkeypatch, threads, loss_mod.BLOCK_BYTES)
-        assert builds == [32] and passes == []
+        assert len(loss_mod.reference_blocks(60, 32 * 2)) == 1
+        _, builds = self.sixblobs_step(monkeypatch, threads, loss_mod.BLOCK_BYTES)
+        assert builds == [(32, 60)]
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_spanning_blocks_takes_three_passes(self, monkeypatch, threads):
-        want, _, _ = self.sixblobs_step(monkeypatch, 1, loss_mod.BLOCK_BYTES)
-        budget = 8 * 60 * 2 * 16  # point blocks of 16, reference blocks of 30
-        grads, builds, passes = self.sixblobs_step(monkeypatch, threads, budget)
-        assert passes == [(32, 60 * 2), (60, 32 * 2), (32, 60 * 2)]
-        assert sorted(builds) == [32 // (2 * threads)] * (2 * threads)
+    def test_reference_blocks_give_the_one_block_bits(self, monkeypatch, threads):
+        want, _ = self.sixblobs_step(monkeypatch, 1, loss_mod.BLOCK_BYTES)
+        budget = 8 * 32 * 2 * 20  # reference blocks of 20
+        grads, builds = self.sixblobs_step(monkeypatch, threads, budget)
+        assert builds == [(32, 20)] * 3
         assert grads == want
 
 
