@@ -92,7 +92,9 @@ def for_each_block(fn, count: int, plane_size: int) -> None:
     exception of the lowest failing block is raised once every helper has
     stopped; blocks above it may or may not have run.  fn must not reach a
     site of perfbench's tracer, whose span stack is single-threaded: trace
-    the whole pass from the calling thread instead.
+    the whole pass from the calling thread instead.  The exact-W2 helper
+    thread of trainer.train is the other place that keeps this rule: it
+    calls oracles.wasserstein2, which the tracer does not wrap.
     """
     blocks = reference_blocks(count, plane_size)
     if THREADS == 1 or len(blocks) == 1:
@@ -342,6 +344,8 @@ def _term(plane: np.ndarray, dots: np.ndarray, resid_k: np.ndarray, scale: np.nd
 
 def kept_counts(mask: np.ndarray) -> np.ndarray:
     """(R,) pairs kept per reference; a reference that coincides with every point raises DegenerateCloudError."""
+    if mask.shape[1] and mask.all():  # every pair kept, as on most blocks: no sum
+        return np.full(mask.shape[0], mask.shape[1])
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise DegenerateCloudError("a reference coincides with every adapted point")

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import loss as loss_mod, oracles
 from .adapters import Adapter, FeatureMap
 # initialize_bank, per_sample_units, population_moments and refresh_snapshot
 # are not called here, but perfbench/tracer.py patches them by name in this module
@@ -39,6 +42,8 @@ from .loss import (
     select_references,
     unit_directions,
 )
+# wasserstein2 is not called here (the W2 helper thread calls oracles.wasserstein2,
+# off perfbench/tracer.py's single-threaded span stack), but the tracer patches it by name in this module
 from .oracles import MAX_EXACT_SIZE, paired_mse, wasserstein2
 from .rng import SplitMix64
 
@@ -202,29 +207,13 @@ def evaluate_epoch(
     loss: float,
     paired: bool = False,
     epoch: int = 0,
-    compute_wasserstein: bool = True,
 ) -> EpochRecord:
-    """The record of the adapted (n, d) cloud, whose quantile loss is `loss`; the Wasserstein oracle runs on cadence.
+    """The record of the adapted (n, d) cloud, whose quantile loss is `loss`; `train` adds the exact W2 on cadence.
 
     With `paired`, the paired MSE compares adapted row i with source row i.
     """
     mse = paired_mse(adapted, source_feats.points) if paired else None
-
-    w2 = None
-    flag = ""
-    if compute_wasserstein:
-        if adapted.shape[0] == source_feats.n <= MAX_EXACT_SIZE:
-            w2 = wasserstein2(adapted, source_feats).distance
-        else:
-            flag = "wasserstein_skipped"
-
-    return EpochRecord(
-        epoch=epoch,
-        quantile_loss=loss,
-        paired_mse=mse,
-        wasserstein2=w2,
-        flag=flag,
-    )
+    return EpochRecord(epoch=epoch, quantile_loss=loss, paired_mse=mse, wasserstein2=None)
 
 
 def train(
@@ -247,6 +236,13 @@ def train(
     run stops, sets `trace.divergence` and returns the last record's adapter.
     Pass `paired` when target row i is the corrupted source row i; each
     record then carries their paired MSE.
+
+    On cadence (epoch 0, the last epoch and every `wasserstein_every`-th) a
+    record gets its exact W2 from one helper thread beside training, or the
+    `wasserstein_skipped` flag where the adapted and source clouds are not of
+    one size within MAX_EXACT_SIZE, and then no thread starts. Every distance
+    is in its record when train returns; a W2 that raises is raised from
+    train, and no thread outlives it.
     """
     cfg.validate(source_feats.n, target.n)
     if fmap.out_dim != source_feats.dim:
@@ -277,49 +273,72 @@ def train(
             trace.aborted_steps += 1
         return math.sqrt(param_grad.dot(param_grad))
 
-    for epoch in range(cfg.epochs + 1):
-        aborted = trace.aborted_steps
-        grad_norm = 0.0
+    # The pool starts its thread at the first submit. A record submits its
+    # cloud and does not wait, unless the clouds queued, its own among them,
+    # would take more than loss.BLOCK_BYTES: then it waits for the oldest plans.
+    exact_w2 = n == source_feats.n <= MAX_EXACT_SIZE
+    pending = deque()  # (record, cloud, plan) of each record whose W2 is not yet written, oldest first
 
-        if epoch > 0 and cfg.full_batch:
-            # the previous record's forward is at the current parameters
-            _, point_grads = quantile_loss_on_points(adapted, refs)
-            grad_norm = step(target.points, transformed, point_grads)
-        elif epoch > 0:
-            order = np.asarray(rng.permutation(n), dtype=int)
-            step_work = Workspace()  # the epoch's step buffers, freed before the record's sweep
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                xb = target.points[batch]
-                tb = adapter.forward_cloud(xb)
-                grad_norm = step(xb, tb, minibatch_point_grads(fmap.forward_cloud(tb), batch, bank, refs, step_work))
-            del step_work
+    def write_w2(budget: int) -> None:
+        """Write the oldest pending records' W2: each whose plan is done, then more while their clouds take over budget bytes."""
+        while pending and (pending[0][2].done() or sum(cloud.nbytes for _, cloud, _ in pending) > budget):
+            rec, _, plan = pending.popleft()
+            rec.wasserstein2 = plan.result().distance
 
-        transformed = adapter.forward_cloud(target.points)
-        adapted = fmap.forward_cloud(transformed)
-        # stop before a blown-up cloud reaches the loss or the oracles
-        ratio = rms_spread(adapted) / spread_scale if np.all(np.isfinite(adapted)) else math.inf
-        if epoch == 0:
-            spread_scale *= max(1.0, ratio)
-        elif ratio > DIVERGENCE_SPREAD:
-            trace.divergence = (epoch, ratio)
-            break
-        on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
-        if bank is None:
-            loss, moments = quantile_loss_on_points(adapted, refs, want_grad=False)[0], None
-        else:
-            # one pass over the references gives the record's loss, the
-            # variance moments against the outgoing snapshot and, when due,
-            # the refresh for the next epoch
-            refresh = epoch < cfg.epochs and epoch % cfg.snapshot_every == 0
-            loss, moments = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=epoch > 0 and cfg.batch_size < n)
-        rec = evaluate_epoch(adapted, source_feats, loss, paired, epoch=epoch, compute_wasserstein=on_cadence)
-        if moments is not None:
-            rec.crude_var, rec.control_var = lemma_variances(moments, n, cfg.batch_size)
-        rec.grad_norm = grad_norm
-        if trace.aborted_steps > aborted:
-            rec.flag = ";".join(x for x in (rec.flag, "nonfinite_grad") if x)
-        trace.records.append(rec)
-        trace.adapted, trained = adapted, adapter
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        for epoch in range(cfg.epochs + 1):
+            aborted = trace.aborted_steps
+            grad_norm = 0.0
+
+            if epoch > 0 and cfg.full_batch:
+                # the previous record's forward is at the current parameters
+                _, point_grads = quantile_loss_on_points(adapted, refs)
+                grad_norm = step(target.points, transformed, point_grads)
+            elif epoch > 0:
+                order = np.asarray(rng.permutation(n), dtype=int)
+                step_work = Workspace()  # the epoch's step buffers, freed before the record's sweep
+                for start in range(0, n, cfg.batch_size):
+                    batch = order[start : start + cfg.batch_size]
+                    xb = target.points[batch]
+                    tb = adapter.forward_cloud(xb)
+                    grad_norm = step(xb, tb, minibatch_point_grads(fmap.forward_cloud(tb), batch, bank, refs, step_work))
+                del step_work
+
+            transformed = adapter.forward_cloud(target.points)
+            adapted = fmap.forward_cloud(transformed)
+            # stop before a blown-up cloud reaches the loss or the oracles
+            ratio = rms_spread(adapted) / spread_scale if np.all(np.isfinite(adapted)) else math.inf
+            if epoch == 0:
+                spread_scale *= max(1.0, ratio)
+            elif ratio > DIVERGENCE_SPREAD:
+                trace.divergence = (epoch, ratio)
+                break
+            on_cadence = epoch == 0 or epoch == cfg.epochs or epoch % cfg.wasserstein_every == 0
+            if bank is None:
+                loss, moments = quantile_loss_on_points(adapted, refs, want_grad=False)[0], None
+            else:
+                # one pass over the references gives the record's loss, the
+                # variance moments against the outgoing snapshot and, when due,
+                # the refresh for the next epoch
+                refresh = epoch < cfg.epochs and epoch % cfg.snapshot_every == 0
+                loss, moments = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=epoch > 0 and cfg.batch_size < n)
+            rec = evaluate_epoch(adapted, source_feats, loss, paired, epoch=epoch)
+            if on_cadence and exact_w2:
+                write_w2(loss_mod.BLOCK_BYTES - adapted.nbytes)
+                pending.append((rec, adapted, helper.submit(oracles.wasserstein2, adapted, source_feats)))
+            elif on_cadence:
+                rec.flag = "wasserstein_skipped"
+            if moments is not None:
+                rec.crude_var, rec.control_var = lemma_variances(moments, n, cfg.batch_size)
+            rec.grad_norm = grad_norm
+            if trace.aborted_steps > aborted:
+                rec.flag = ";".join(x for x in (rec.flag, "nonfinite_grad") if x)
+            trace.records.append(rec)
+            trace.adapted, trained = adapted, adapter
+        write_w2(-1)
+    finally:
+        # after an exception: queued plans are cancelled and a running one is awaited
+        helper.shutdown(cancel_futures=True)
 
     return trained, trace

@@ -1,14 +1,16 @@
 import json
 import re
+import threading
 import time
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quantmatch.adapters import Adapter
-from quantmatch import bank as bank_mod, cli, trainer as trainer_mod
+from quantmatch import bank as bank_mod, cli, oracles, trainer as trainer_mod
 from quantmatch.cli import load_spec, main
 from quantmatch.loss import BLOCK_BYTES
 from quantmatch.trainer import train
@@ -787,3 +789,196 @@ class TestSeeds:
         error = json.loads(out[0])
         assert error["error"] == "usage"
         assert error["message"] == f"--seed: a seed must be in [0, 2**64), got {value}"
+
+
+class InlinePool:
+    """Stands in for the W2 helper's pool: each call runs at its submit, on the calling thread."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def run_outputs(path, out) -> tuple:
+    """trace.csv's bytes and summary.json less its runtime and output dir, of one `quantmatch run`."""
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["runtime_ms"], summary["config"]["out_dir"]
+    return (out / "trace.csv").read_bytes(), summary
+
+
+class TestW2Helper:
+    """Exact W2 runs on one helper thread beside training; the outputs are those of inline calls."""
+
+    BANK = {"full_batch = true": "full_batch = false", "batch_size = 60": "batch_size = 16"}
+
+    def config(self, tmp_path, edits=None, every=5):
+        text = TINY_CONFIG.replace("wasserstein_every = 5", f"wasserstein_every = {every}")
+        for old, new in (edits or {}).items():
+            text = text.replace(old, new)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("every", [1, 2])
+    @pytest.mark.parametrize("bank", [False, True], ids=["full_batch", "bank"])
+    def test_helper_changes_no_byte(self, tmp_path, monkeypatch, bank, every):
+        path = self.config(tmp_path, self.BANK if bank else None, every)
+        threads = set()
+        w2 = oracles.wasserstein2
+        monkeypatch.setattr(oracles, "wasserstein2", lambda a, b: threads.add(threading.get_ident()) or w2(a, b))
+        helper = run_outputs(path, tmp_path / "helper")
+        assert threads and threading.get_ident() not in threads
+        monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", InlinePool)
+        threads.clear()
+        assert run_outputs(path, tmp_path / "inline") == helper
+        assert threads == {threading.get_ident()}
+
+    def test_each_record_has_the_w2_of_its_cloud(self, tmp_path, monkeypatch):
+        traces = kept_traces(monkeypatch)
+        clouds = []
+        evaluate = trainer_mod.evaluate_epoch
+
+        def keep_cloud(adapted, source_feats, *args, **kwargs):
+            clouds.append((adapted.copy(), source_feats))
+            return evaluate(adapted, source_feats, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "evaluate_epoch", keep_cloud)
+        run_outputs(self.config(tmp_path, every=3), tmp_path / "o")
+        records = traces[0].records
+        assert len(records) == len(clouds) == 11
+        for rec, (cloud, source) in zip(records, clouds):
+            expected = oracles.wasserstein2(cloud, source).distance if rec.epoch in (0, 3, 6, 9, 10) else None
+            assert rec.wasserstein2 == expected
+
+    @pytest.mark.parametrize("case", ["normal", "diverged", "step_raises", "oversize"])
+    def test_no_thread_outlives_train(self, tmp_path, monkeypatch, capsys, case):
+        edits = {
+            "normal": {},
+            "diverged": {"learning_rate = 0.3": "learning_rate = 1e6"},
+            "step_raises": {},
+            # n = 600 > MAX_EXACT_SIZE: W2 is skipped and no helper starts
+            "oversize": {"n = 60": "n = 600", "batch_size = 60": "batch_size = 600"},
+        }[case]
+        traces = kept_traces(monkeypatch)
+        before = threading.active_count()
+        during = []
+        step = trainer_mod.sgd_step
+
+        def counting_step(*args):
+            during.append(threading.active_count())
+            if case == "step_raises" and len(during) == 3:
+                raise RuntimeError("step failed")
+            return step(*args)
+
+        monkeypatch.setattr(trainer_mod, "sgd_step", counting_step)
+        code = main(["run", "--config", str(self.config(tmp_path, edits, every=1)), "--out", str(tmp_path / "o")])
+        assert threading.active_count() == before
+        assert set(during) == {before if case == "oversize" else before + 1}
+        if case == "step_raises":
+            assert code == 1
+            assert json.loads(capsys.readouterr().out) == {"error": "RuntimeError", "message": "step failed"}
+        else:
+            assert code == (1 if case == "diverged" else 0)
+            records = traces[0].records
+            assert all((r.wasserstein2 is None) == (case == "oversize") for r in records)
+
+    def test_queued_plans_are_cancelled_when_training_raises(self, tmp_path, monkeypatch, capsys):
+        release = threading.Event()
+        calls = []
+        w2 = oracles.wasserstein2
+
+        def held_w2(a, b):
+            calls.append(None)
+            assert release.wait(timeout=60)
+            return w2(a, b)
+
+        class HeldPool(ThreadPoolExecutor):
+            def shutdown(self, wait=True, cancel_futures=False):
+                # cancel (or not) while the first plan still runs, then let it finish
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                release.set()
+                super().shutdown(wait=wait)
+
+        steps = []
+        step = trainer_mod.sgd_step
+
+        def failing_step(*args):
+            steps.append(None)
+            if len(steps) == 3:
+                raise RuntimeError("step failed")
+            return step(*args)
+
+        monkeypatch.setattr(oracles, "wasserstein2", held_w2)
+        monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", HeldPool)
+        monkeypatch.setattr(trainer_mod, "sgd_step", failing_step)
+        before = threading.active_count()
+        # epochs 0-2 queue their plans and epoch 3's step raises while the first plan runs
+        assert main(["run", "--config", str(self.config(tmp_path, every=1)), "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": "RuntimeError", "message": "step failed"}
+        assert threading.active_count() == before
+        assert len(calls) == 1
+
+    def test_failing_w2_surfaces_from_train_and_main(self, tmp_path, monkeypatch, capsys):
+        path = self.config(tmp_path, every=1)
+        calls = []
+        w2 = oracles.wasserstein2
+
+        def failing_w2(a, b):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("the second plan failed")
+            return w2(a, b)
+
+        monkeypatch.setattr(oracles, "wasserstein2", failing_w2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^the second plan failed$"):
+            cli.run_experiment(load_spec(path, out_override=tmp_path / "train"))
+        assert threading.active_count() == before
+        payloads = []
+        for pool in (ThreadPoolExecutor, InlinePool):
+            monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", pool)
+            calls.clear()
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / pool.__name__)]) == 1
+            payloads.append(json.loads(capsys.readouterr().out))
+            assert threading.active_count() == before
+        assert payloads == [{"error": "ValueError", "message": "the second plan failed"}] * 2
+
+    def test_waiting_clouds_stay_within_the_budget(self, tmp_path, monkeypatch):
+        cloud_bytes = 60 * 2 * 8  # one adapted two-moons cloud
+        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 3 * cloud_bytes)
+        lock = threading.Lock()
+        waiting, peak = [0], [0]
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                with lock:
+                    waiting[0] += 1
+                    peak[0] = max(peak[0], waiting[0])
+                return super().submit(fn, *args)
+
+        w2 = oracles.wasserstein2
+
+        def slow_w2(a, b):
+            time.sleep(0.02)
+            plan = w2(a, b)
+            with lock:
+                waiting[0] -= 1  # before its future is done, so the count here never exceeds train's
+            return plan
+
+        monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(oracles, "wasserstein2", slow_w2)
+        traces = kept_traces(monkeypatch)
+        run_outputs(self.config(tmp_path, every=1), tmp_path / "o")
+        assert peak[0] == 3  # the queue fills to the budget and no further
+        assert all(r.wasserstein2 is not None for r in traces[0].records)

@@ -22,9 +22,11 @@ from quantmatch import (
     six_blobs,
     train,
     two_moons,
+    wasserstein2,
 )
 from quantmatch import bank as bank_mod, loss as loss_mod, trainer as trainer_mod
 from quantmatch.bank import lemma_variance, per_sample_units, population_moments
+from quantmatch.oracles import MAX_EXACT_SIZE
 from quantmatch.trainer import (
     DIVERGENCE_SPREAD,
     ConfigError,
@@ -274,7 +276,7 @@ class TestEvaluateEpoch:
         rec = evaluate_epoch(adapted, src, quantile_loss_on_points(adapted, refs, want_grad=False)[0], paired=True)
         assert rec.paired_mse == pytest.approx(0.0, abs=1e-18)
         assert rec.quantile_loss == pytest.approx(0.0, abs=1e-18)
-        assert rec.wasserstein2 == pytest.approx(0.0, abs=1e-9)
+        assert wasserstein2(adapted, src).distance == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_on_shifted_data_all_positive(self):
         clean, target, src, fmap = sixblobs_setup()
@@ -282,14 +284,16 @@ class TestEvaluateEpoch:
         rec = evaluate_epoch(target.cloud.points, src, quantile_loss_on_points(target.cloud.points, refs, want_grad=False)[0], paired=True)
         assert rec.quantile_loss > 0
         assert rec.paired_mse > 0
-        assert rec.wasserstein2 > 0
+        assert wasserstein2(target.cloud.points, src).distance > 0
 
     def test_oversize_cloud_skips_wasserstein(self):
-        clean, target, src, fmap = sixblobs_setup()
-        refs = select_references(src, 10, seed=5)
-        rec = evaluate_epoch(target.cloud.points[:100], src, quantile_loss_on_points(target.cloud.points[:100], refs, want_grad=False)[0])
-        assert rec.wasserstein2 is None
-        assert "wasserstein_skipped" in rec.flag
+        clean = six_blobs(seed=7, counts=(90,) * 6)
+        target = apply_corruption(clean, CORRUPTION)
+        assert clean.n > MAX_EXACT_SIZE
+        cfg = cfg_for(clean.n, epochs=1, reference_count=10)
+        _, trace = train(PointCloud(clean.cloud.points), target.cloud, Adapter.affine(2), FeatureMap.identity(2), cfg)
+        assert [r.wasserstein2 for r in trace.records] == [None, None]
+        assert all("wasserstein_skipped" in r.flag for r in trace.records)
 
 
 class TestMinibatchGradient:
