@@ -218,7 +218,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
     if cfg.batch_size == 0:
         cfg = replace(cfg, batch_size=corrupted.n)
     # the output dir is made before training, so that an unusable one costs no
-    # run; a config error found in training takes back the directories it made
+    # run; training writes nothing there, so a failed one takes back the
+    # directories it made
     made = [path for path in (spec.out_dir, *spec.out_dir.parents) if not path.exists()]
     try:
         spec.out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,7 +235,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             paired=True,
             source_labels=clean.labels,
         )
-    except ConfigError:
+    except BaseException:
         for path in made:
             path.rmdir()
         raise

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +30,10 @@ from .rng import SplitMix64
 # BLOCK_BYTES, with at least MIN_BLOCK_REFS references each (one reference
 # alone takes row_sums' cumsum path).  Each reference's arithmetic is the same
 # in any block, and the gradient rows carry their sums from block to block, so
-# the outputs do not depend on the block size.  index_averages shares its
-# blocks between THREADS threads (for_each_block), with blocks of
-# BLOCK_BYTES // THREADS, so the bytes in flight stay within one BLOCK_BYTES.
+# the outputs do not depend on the block size.  index_averages runs its
+# references on THREADS threads (for_each_block), one contiguous range each,
+# cut into blocks of BLOCK_BYTES // THREADS, so the bytes in flight stay
+# within one BLOCK_BYTES.
 BLOCK_BYTES = 4 << 20
 MIN_BLOCK_REFS = 2
 THREADS = min(2, len(os.sched_getaffinity(0)))
@@ -56,20 +57,17 @@ class Workspace(dict):
         return buf[:size].reshape(shape)
 
 
-def reference_blocks(count: int, plane_size: int, budget: int | None = None, parts: int = 1) -> list[slice]:
+def reference_blocks(count: int, plane_size: int, budget: int | None = None) -> list[slice]:
     """Consecutive slices of `count` references, each against plane_size = m * d values for m points.
 
     The cut is the fewest blocks whose unit planes take at most `budget`
     bytes (BLOCK_BYTES when not given), or hold MIN_BLOCK_REFS references
-    where the budget holds fewer.  Their count is rounded up to a multiple
-    of `parts` unless that would leave a block below MIN_BLOCK_REFS
-    references.  Block sizes differ by at most one, the larger blocks first.
+    where the budget holds fewer.  Block sizes differ by at most one, the
+    larger blocks first.
     """
     budget = BLOCK_BYTES if budget is None else budget
     size = max(MIN_BLOCK_REFS, budget // (8 * max(plane_size, 1)))
     blocks = -(-count // size)
-    if count >= MIN_BLOCK_REFS * (blocks + -blocks % parts):
-        blocks += -blocks % parts
     if blocks <= 1:  # every pass of a small run: no dearer than a fixed-size slice
         return [slice(0, count)] if blocks else []
     small, extra = divmod(count, blocks)
@@ -77,58 +75,45 @@ def reference_blocks(count: int, plane_size: int, budget: int | None = None, par
     return [slice(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
-def for_each_block(fn, count: int, plane_size: int) -> None:
-    """Call fn(block, work) on every block of reference_blocks(count, plane_size), on up to THREADS threads.
+def _run_range(fn, start: int, stop: int, plane_size: int, budget: int) -> None:
+    """fn(block, work) on each block of references [start, stop), in order, in one new Workspace."""
+    work = Workspace()
+    for block in reference_blocks(stop - start, plane_size, budget):
+        fn(slice(start + block.start, start + block.stop), work)
 
-    `work` is the Workspace of the slot that runs the block, one per thread
-    and pass: slot 0 for the calling thread, slot 1 for the helper.
+
+def for_each_block(fn, count: int, plane_size: int) -> None:
+    """Call fn(block, work) on every block of `count` references against plane_size values, on up to THREADS threads.
+
+    With one thread, or references that fit one full block, this is a plain
+    loop over reference_blocks(count, plane_size) on the calling thread, in
+    one Workspace.  Otherwise [0, count) is cut into THREADS contiguous
+    ranges whose sizes differ by at most one; each range runs the same loop
+    over its own blocks of BLOCK_BYTES // THREADS, in its own Workspace.  The
+    calling thread runs the first range and a pool of THREADS - 1 helpers,
+    which lives for the pass, the others.
 
     fn must write only its own block's slices of its outputs; then the
-    outputs do not depend on which thread ran a block, or when.  With one
-    thread, or references that fit one block, this is a plain loop on the
-    calling thread.  Otherwise the blocks take BLOCK_BYTES // THREADS each,
-    in a multiple of THREADS blocks of near-equal size (see reference_blocks),
-    and the calling thread and THREADS - 1 helpers take them in order.  If blocks raise, the
-    exception of the lowest failing block is raised once every helper has
-    stopped; blocks above it may or may not have run.  fn must not reach a
-    site of perfbench's tracer, whose span stack is single-threaded: trace
-    the whole pass from the calling thread instead.  The exact-W2 helper
-    thread of trainer.train is the other place that keeps this rule: it
-    calls oracles.wasserstein2, which the tracer does not wrap.
+    outputs do not depend on which thread ran a block, or when.  A range
+    stops at its first failing block, and the exception of the lowest
+    failing block is raised once every helper has stopped; blocks above it
+    may or may not have run.  fn must not reach a site of perfbench's
+    tracer, whose span stack is single-threaded: trace the whole pass from
+    the calling thread instead.  The exact-W2 helper thread of trainer.train
+    is the other place that keeps this rule: it calls oracles.wasserstein2,
+    which the tracer does not wrap.
     """
-    blocks = reference_blocks(count, plane_size)
-    if THREADS == 1 or len(blocks) == 1:
-        work = Workspace()
-        for block in blocks:
-            fn(block, work)
+    if THREADS == 1 or len(reference_blocks(count, plane_size)) <= 1:
+        _run_range(fn, 0, count, plane_size, BLOCK_BYTES)
         return
-    blocks = reference_blocks(count, plane_size, BLOCK_BYTES // THREADS, THREADS)
-    order = iter(range(len(blocks)))
-    errors: dict[int, Exception] = {}
-    lock = threading.Lock()
-
-    def run(slot):
-        while True:
-            with lock:
-                i = next(order, None)
-                if i is None or errors:  # a recorded failure is of a lower block than i
-                    return
-            try:
-                fn(blocks[i], slot)
-            except Exception as exc:
-                with lock:
-                    errors[i] = exc
-
-    helpers = [threading.Thread(target=run, args=(Workspace(),)) for _ in range(THREADS - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        run(Workspace())
-    finally:
+    bounds = [count * i // THREADS for i in range(THREADS + 1)]
+    budget = BLOCK_BYTES // THREADS
+    with ThreadPoolExecutor(THREADS - 1) as pool:
+        ranges = zip(bounds[1:-1], bounds[2:])
+        helpers = [pool.submit(_run_range, fn, start, stop, plane_size, budget) for start, stop in ranges]
+        _run_range(fn, 0, bounds[1], plane_size, budget)  # if it raises, leaving the pool waits for the helpers
         for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
+            helper.result()
 
 
 @dataclass(frozen=True)
@@ -357,10 +342,10 @@ def index_averages(points: np.ndarray, ref_points: np.ndarray, visit=None) -> np
 
     Coincident pairs are excluded and each mean renormalized by the surviving
     count.  The references run in blocks through for_each_block, each in its
-    slot's workspace; visit(block, units, sums, work), when given, then sees
+    range's workspace; visit(block, units, sums, work), when given, then sees
     each block's (d, R_b, m) unit planes, its (R_b, d) point sums and the
     workspace, under for_each_block's rules for fn.  The planes live in the
-    workspace, which the slot's next block overwrites, so visit must not keep
+    workspace, which the range's next block overwrites, so visit must not keep
     them, or anything else it takes from the workspace, after it returns.
     """
     averages = np.empty(ref_points.shape)
@@ -392,8 +377,7 @@ def quantile_loss_on_points(
     point, is d(total)/d(point) and is None unless want_grad.  Runs over
     reference blocks, one block's unit planes at a time: index_averages' for
     the loss alone, on its threads; one serial loop that carries the gradient's
-    sums from block to block otherwise, in one workspace (for_each_block's
-    slot 0).
+    sums from block to block otherwise, in one workspace.
     """
     if not want_grad:
         return residual_loss(index_averages(points, refs.quantiles) - refs.target_indices), None

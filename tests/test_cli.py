@@ -328,11 +328,21 @@ class TestRun:
         assert "[output] dir" in payload["message"]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["tiny.cfg"]
 
-    def test_config_error_in_training_takes_back_the_output_dirs(self, tmp_path, capsys):
+    def test_config_error_in_training_takes_back_the_output_dirs(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG.replace("reference_count = 20", "reference_count = 21"))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "a" / "b")]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "config"
+        assert not (tmp_path / "a").exists()
+
+        # any other failure in training takes them back too, and exits 1 with its own type and message
+        def fails(*args, **kwargs):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(cli, "train", fails)
+        (tmp_path / "tiny.cfg").write_text(TINY_CONFIG)
+        assert main(["run", "--config", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path / "a" / "b")]) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": "RuntimeError", "message": "step failed"}
         assert not (tmp_path / "a").exists()
 
     def test_aborted_steps_count_steps_not_epochs(self, tmp_path, monkeypatch):

@@ -684,6 +684,22 @@ class TestThreadedBlocks:
         assert threading.active_count() == before
         assert {0, 1} <= set(ran)
 
+        # a block of the helper's range [6, 12) fails alone and first: its exception
+        # surfaces once the calling thread's range has run, and its range stops there
+        ran.clear()
+
+        def helper_fails(block, work):
+            index = block.start // 2
+            if index == 4:
+                raise KeyError("block 4")
+            time.sleep(0.01)
+            ran.append(index)
+
+        with pytest.raises(KeyError, match="block 4"):
+            for_each_block(helper_fails, 12, 1)
+        assert threading.active_count() == before
+        assert sorted(ran) == [0, 1, 2, 3]
+
     def test_each_block_runs_once_under_contention(self, monkeypatch):
         monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)
         monkeypatch.setattr("quantmatch.loss.THREADS", 4)  # twice the most THREADS takes, so threads contend for blocks
@@ -827,30 +843,35 @@ class TestThreadedStep:
         assert ran == {"bank.control_variate_estimate": {threading.get_ident()}}
 
 
-def threaded_cut(monkeypatch, count, plane_size, threads=2):
-    """The block sizes, in order, of a for_each_block pass on `threads` threads."""
+def threaded_ranges(monkeypatch, count, plane_size, threads=2):
+    """The block sizes of a for_each_block pass on `threads` threads, one list per range (per workspace), in order."""
     monkeypatch.setattr("quantmatch.loss.THREADS", threads)
-    blocks = []
-    for_each_block(lambda block, work: blocks.append(block), count, plane_size)
-    blocks.sort(key=lambda block: block.start)
+    calls = []
+    for_each_block(lambda block, work: calls.append((block, work)), count, plane_size)
+    ranges = []
+    for block, work in sorted(calls, key=lambda call: call[0].start):
+        if not ranges or ranges[-1][0] is not work:
+            ranges.append((work, []))
+        ranges[-1][1].append(block)
+    blocks = [block for _, range_blocks in ranges for block in range_blocks]
     assert [block.start for block in blocks] == [0] + [block.stop for block in blocks[:-1]] and blocks[-1].stop == count
-    return [block.stop - block.start for block in blocks]
+    return [[block.stop - block.start for block in range_blocks] for _, range_blocks in ranges]
 
 
 class TestBalancedCut:
-    """A threaded pass is cut into a multiple of THREADS blocks of near-equal size, each within BLOCK_BYTES // THREADS."""
+    """A threaded pass is cut into THREADS contiguous ranges of near-equal size, each into near-equal blocks within BLOCK_BYTES // THREADS."""
 
     @pytest.mark.parametrize(
         "count, plane_size, sizes",
         [
-            (256, 300 * 8, [64] * 4),    # a scaled_features step's points against (R, d) = (300, 8)
-            (240, 300 * 8, [60] * 4),    # and its short last batch
-            (300, 256 * 8, [75] * 4),    # its batch means' references against (b, d) = (256, 8)
-            (300, 4080 * 8, [8] * 34 + [7] * 4),  # its reference selection and sweeps
+            (256, 300 * 8, [[64] * 2] * 2),    # a scaled_features step's points against (R, d) = (300, 8)
+            (240, 300 * 8, [[60] * 2] * 2),    # and its short last batch
+            (300, 256 * 8, [[75] * 2] * 2),    # its batch means' references against (b, d) = (256, 8)
+            (300, 4080 * 8, [[8] * 17 + [7] * 2] * 2),  # its reference selection and sweeps: 2 x 19 blocks
         ],
     )
     def test_scaled_features_cuts(self, monkeypatch, count, plane_size, sizes):
-        assert threaded_cut(monkeypatch, count, plane_size) == sizes
+        assert threaded_ranges(monkeypatch, count, plane_size) == sizes
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_near_equal_blocks_within_budget(self, monkeypatch, threads):
@@ -861,22 +882,15 @@ class TestBalancedCut:
                 if len(reference_blocks(count, plane_size)) == 1:
                     continue  # one full block: a plain call, not a threaded pass
                 cuts += 1
-                sizes = threaded_cut(monkeypatch, count, plane_size, threads)
-                case = (threads, plane_size, count, sizes)
-                assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True), case
-                assert len(sizes) % threads == 0, case
-                assert all(8 * plane_size * size <= budget or size <= MIN_BLOCK_REFS for size in sizes), case
-                assert min(sizes) >= MIN_BLOCK_REFS, case
+                ranges = threaded_ranges(monkeypatch, count, plane_size, threads)
+                case = (threads, plane_size, count, ranges)
+                totals = [sum(sizes) for sizes in ranges]
+                assert len(ranges) == threads and max(totals) - min(totals) <= 1, case
+                for sizes in ranges:
+                    assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True), case
+                    assert all(8 * plane_size * size <= budget or size <= MIN_BLOCK_REFS for size in sizes), case
+                    assert min(sizes) >= MIN_BLOCK_REFS, case
         assert cuts > 200
-
-    def test_min_block_refs_before_a_multiple_of_threads(self, monkeypatch):
-        """Where the budget holds fewer than MIN_BLOCK_REFS items, rounding up must not cut blocks below it."""
-        monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 1)  # MIN_BLOCK_REFS = 2 items per block
-        # six blocks would leave blocks of one point, so the cut keeps five
-        assert threaded_cut(monkeypatch, 9, 2) == [2, 2, 2, 2, 1]
-        assert threaded_cut(monkeypatch, 12, 2) == [2] * 6
-        assert threaded_cut(monkeypatch, 14, 2) == [2] * 7  # eight blocks of fewer than two
-        assert threaded_cut(monkeypatch, 15, 2) == [2] * 7 + [1]
 
 
 def fresh_unit_directions(points, ref_points):
