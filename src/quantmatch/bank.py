@@ -22,7 +22,6 @@ from .loss import (
     plane_dot,
     point_sums,
     residual_loss,
-    row_sums,
     unit_directions,
 )
 from .oracles import ENUMERATION_LIMIT, enumerate_batches, exceeds_enumeration_limit
@@ -31,27 +30,32 @@ from .rng import SplitMix64
 
 @dataclass
 class MemoryBank:
-    """Snapshot unit vectors and their per-reference averages.
+    """The snapshot's adapted cloud and its per-reference mean unit vectors.
 
-    The bank holds one point-major (d, n, R) array, so a batch's snapshot
-    units are whole rows; a refresh overwrites it in place, one reference
-    block at a time.
+    The bank holds n + R points, not the n x R unit vectors at the snapshot:
+    a reader rebuilds the units it needs from the cloud with the kernel's
+    elementwise arithmetic, so they have the bits the refresh saw.  A refresh
+    rebinds both arrays to the refreshing sweep's and never writes into one:
+    the bank keeps the adapted cloud's own array, not a copy, so nothing may
+    write to that array afterwards.
     """
 
-    snapshot_units: np.ndarray  # (d, n, R): row j holds point j's unit vectors toward each reference at theta_snap
-    snapshot_avgs: np.ndarray   # (R, d) per-reference mean unit vectors at theta_snap
+    snapshot_points: np.ndarray  # (n, d) adapted cloud at theta_snap
+    snapshot_avgs: np.ndarray    # (R, d) per-reference mean unit vectors at theta_snap
 
     @classmethod
     def empty(cls, dim: int, count: int, n: int) -> MemoryBank:
         """An unfilled bank for n points and `count` references; the first refreshing sweep fills it."""
-        return cls(snapshot_units=np.empty((dim, n, count)), snapshot_avgs=np.empty((count, dim)))
+        return cls(snapshot_points=np.empty((n, dim)), snapshot_avgs=np.empty((count, dim)))
 
-    def batch_mean(self, batch: np.ndarray, block: slice = slice(None)) -> np.ndarray:
-        """(R, d) mean of the snapshot units of the points `batch`, rows added in batch order.
+    def batch_mean(self, batch: np.ndarray, ref_points: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+        """(R, d) mean of the snapshot units of the points `batch` toward ref_points, added in batch order.
 
-        With a block of references, only those references' means, (len(block), d).
+        The units are built in work's buffers (a new Workspace's when not
+        given), which a caller may reuse once this returns.
         """
-        return row_sums(self.snapshot_units[:, batch, block]) / len(batch)
+        work = Workspace() if work is None else work
+        return point_sums(unit_directions(self.snapshot_points[batch], ref_points, work)[0], work) / len(batch)
 
 
 class Sweep(NamedTuple):
@@ -75,28 +79,30 @@ def sweep(bank: MemoryBank, adapted: PointCloud, refs: ReferenceSet, refresh: bo
     """The loss from index_averages at `adapted`, whose visitor takes the bank's needs from the same units.
 
     Each block's point sums give the bank means (divided by n).  With
-    moments, the block's population moments against the snapshot follow, in
-    the block's workspace; with refresh, the block then overwrites the
-    snapshot through a transposed view, so no second (d, R, n) array is ever
-    built.  The visitor keeps none of the workspace's arrays after its block.
-    A sweep that raises may leave any of the snapshot's blocks refreshed.
+    moments, the block then rebuilds its snapshot units from the bank's
+    cloud in a second workspace of its range, never in the buffers that hold
+    its current units, and takes the population moments of the two; the
+    snapshot's deviations overwrite its units there.  The visitor keeps none
+    of either workspace's arrays after its block.  With refresh, the bank
+    then stores the adapted cloud and the means, once the pass has run, so a
+    sweep that raises leaves the bank as it was.
     """
-    if adapted.n != bank.snapshot_units.shape[1]:
+    if adapted.points.shape != bank.snapshot_points.shape:
         raise DimensionMismatchError("bank size does not match the adapted cloud")
     avgs = np.empty_like(refs.target_indices)
     out = np.empty((2, refs.count)) if moments else None
+    snapshot_work = {}  # id of a range's workspace -> the range's workspace for its snapshot units
 
     def visit(block, units, sums, work):
         avgs[block] = sums / adapted.n
-        snapshot = bank.snapshot_units[:, :, block]
         if moments:
-            out[:, block] = population_moments(units, snapshot.transpose(0, 2, 1), avgs[block], bank.snapshot_avgs[block], work)
-        if refresh:
-            snapshot[...] = units.transpose(0, 2, 1)
+            s_work = snapshot_work.setdefault(id(work), Workspace())
+            s_units = unit_directions(bank.snapshot_points, refs.quantiles[block], s_work)[0]
+            out[:, block] = population_moments(units, s_units, avgs[block], bank.snapshot_avgs[block], work, s_units)
 
     loss = residual_loss(index_averages(adapted.points, refs.quantiles, visit) - refs.target_indices)
     if refresh:
-        bank.snapshot_avgs = avgs
+        bank.snapshot_points, bank.snapshot_avgs = adapted.points, avgs
     return Sweep(loss, None if out is None else tuple(out))
 
 
@@ -128,24 +134,32 @@ class EstimatorDiagnostics:
     control_formula: float  # and control_var
 
 
-def population_moments(a_units: np.ndarray, s_units: np.ndarray, a_mean=None, s_mean=None, work: Workspace | None = None):
+def population_moments(
+    a_units: np.ndarray,
+    s_units: np.ndarray,
+    a_mean=None,
+    s_mean=None,
+    work: Workspace | None = None,
+    s_out: np.ndarray | None = None,
+):
     """Per-reference variances of a and of a - s, two (d, R, n) unit-plane populations.
 
     Returns (sigma_a2, sigma_d2), each (R,), in the expected squared-norm
     convention; sigma_d2 is taken from the deviations of a - s, so it is
     never negative.  A population's (R, d) mean, when given, must be its
-    point_sums / n; it is computed when not given.  Either population may be
-    a strided view, such as the transposed snapshot: the deviations are
-    written contiguous, to work's "rows" buffer, which point_sums has
-    finished with, and its "deviations" buffer (a new Workspace's when not
-    given), so each mean(axis=1) adds along contiguous points.
+    point_sums / n; it is computed when not given.  The deviations are
+    written contiguous, so each mean(axis=1) adds along contiguous points:
+    those of a to work's "rows" buffer, which point_sums has finished with,
+    and those of s, then of a - s, to s_out, which may be s_units itself when
+    the caller has no further use for it, or else to work's "deviations"
+    buffer (a new Workspace's when not given).
     """
     n = a_units.shape[2]
     work = Workspace() if work is None else work
     a_mean = point_sums(a_units, work) / n if a_mean is None else a_mean
     s_mean = point_sums(s_units, work) / n if s_mean is None else s_mean
     da = np.subtract(a_units, a_mean.T[:, :, None], out=work.take("rows", a_units.shape))
-    dd = np.subtract(s_units, s_mean.T[:, :, None], out=work.take("deviations", s_units.shape))
+    dd = np.subtract(s_units, s_mean.T[:, :, None], out=work.take("deviations", s_units.shape) if s_out is None else s_out)
     np.subtract(da, dd, out=dd)
     return plane_dot(da, da).mean(axis=1), plane_dot(dd, dd).mean(axis=1)
 
@@ -203,17 +217,18 @@ def estimator_variance(
         raise ValueError(f"monte_carlo mode needs draws >= 1, got {draws}")
 
     bank = initialize_bank(adapted_snap, refs)
-    # the batch means below need every current unit at once: the sweep refreshes
-    # a copy of the snapshot bank to them, after taking each block's moments
-    current = MemoryBank(bank.snapshot_units.copy(), bank.snapshot_avgs)
+    # a second bank shares the snapshot's arrays until the sweep that takes the
+    # moments against them rebinds its own to the current cloud
+    current = MemoryBank(bank.snapshot_points, bank.snapshot_avgs)
     moments = sweep(current, adapted_t, refs, refresh=True).moments
     a_mean = current.snapshot_avgs
 
     crude_sq = control_sq = cross = s_sq = 0.0
     count = 0
+    work = Workspace()
     for batch in _batch_iter(n, b, mode, draws, seed):
-        a_hat = current.batch_mean(batch)
-        s_hat = bank.batch_mean(batch)
+        a_hat = current.batch_mean(batch, refs.quantiles, work)
+        s_hat = bank.batch_mean(batch, refs.quantiles, work)
         da, ds = a_hat - a_mean, s_hat - bank.snapshot_avgs
         crude_sq += float(np.mean(np.sum(da**2, axis=1)))
         est = control_variate_estimate(bank, a_hat, s_hat)

@@ -89,6 +89,12 @@ CONFIG_KEYS = {
     "output": {"dir": str},
 }
 
+# the most bytes one hidden layer may take on the whole cloud: an mlp1
+# adapter's or a fixed_mlp feature map's activations are n * hidden floats,
+# and a config that asks for more exits 2 before any map is built
+MAX_HIDDEN_BYTES = 1 << 30
+HIDDEN_KINDS = {"adapter": "mlp1", "feature_map": "fixed_mlp"}
+
 # the constructor of each kind of these sections (the datasets' are looked up per run, see run_experiment);
 # the section's other keys are its keyword arguments
 CORRUPTIONS = {kind: getattr(Corruption, kind) for kind in ("linear", "rotation", "shift", "gaussian_noise")}
@@ -199,11 +205,24 @@ def _check_squared_distances(section: str, points: np.ndarray) -> None:
         raise ConfigError(f"bad value in [{section}]: its cloud's squared distances overflow (largest coordinate {largest:.3g})")
 
 
+def _check_hidden_layers(spec: ExperimentSpec, n: int) -> None:
+    """A ConfigError naming the section whose hidden layer on n points would take more than MAX_HIDDEN_BYTES."""
+    for section, kind in HIDDEN_KINDS.items():
+        values = getattr(spec, section)
+        hidden = values.get("hidden", 0)
+        if values.get("kind") == kind and 8 * n * hidden > MAX_HIDDEN_BYTES:
+            raise ConfigError(
+                f"bad value in [{section}]: hidden = {hidden} on {n} points takes {8 * n * hidden} bytes a layer,"
+                f" above the limit of {MAX_HIDDEN_BYTES}"
+            )
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Train per the spec and write trace.csv, summary.json, and cloud dumps."""
     started = time.perf_counter()
     # looked up per run, so that a wrapper patched over this module's names (perfbench/tracer.py) is called
     clean = _construct("dataset", {"six_blobs": six_blobs, "two_moons": two_moons}, spec.dataset)
+    _check_hidden_layers(spec, clean.n)
     corruption = _construct("corruption", CORRUPTIONS, spec.corruption, "seed")
     seed = {key: value for key, value in spec.corruption.items() if key == "seed"}
     with _section_values("corruption"):

@@ -47,14 +47,25 @@ class Workspace(dict):
     allocated on first use, and again only if a later block needs more.  A
     pass's blocks come largest first, so each of its workspaces allocates
     once.  A view shares its memory with every later take of the same name.
+    Each view is kept, so a later take of the same name and shape, as every
+    full batch of an epoch's steps makes, returns it without building a new
+    one; a buffer that grows drops the views of the old one.
     """
 
+    def __init__(self):
+        super().__init__()
+        self.views = {}
+
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self.get(name)
-        if buf is None or buf.size < size:
-            buf = self[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+        view = self.views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self.get(name)
+            if buf is None or buf.size < size:
+                buf = self[name] = np.empty(size, dtype)
+                self.views = {key: kept for key, kept in self.views.items() if key[0] != name}
+            view = self.views[name, shape] = buf[:size].reshape(shape)
+        return view
 
 
 def reference_blocks(count: int, plane_size: int, budget: int | None = None) -> list[slice]:

@@ -99,8 +99,8 @@ class EpochRecord:
     quantile_loss: float
     paired_mse: float | None
     wasserstein2: float | None
-    crude_var: float = 0.0
-    control_var: float = 0.0
+    crude_var: float | None = 0.0  # None on a memory-bank record off the W2 cadence
+    control_var: float | None = 0.0
     grad_norm: float = 0.0
     flag: str = ""
 
@@ -172,26 +172,29 @@ def minibatch_point_grads(
     """Point gradients of mean_r ||estimate_r - u_r||^2 through the batch term.
 
     yb holds the adapted points, at the current parameters, of the samples
-    whose indices are `batch`; their snapshot units are the bank's rows `batch`.
-    estimate_r is the control-variate estimate of the population average, so
-    only yb's own units carry gradient.
+    whose indices are `batch`; their snapshot units are built from the bank's
+    points `batch`.  estimate_r is the control-variate estimate of the
+    population average, so only yb's own units carry gradient.
 
     One serial loop over blocks of references (reference_blocks), as the
-    loss with its gradient runs: each block builds the units of all b points
-    toward its references, their point sums, its estimate and its gradient
-    terms, and direction_point_grads carries the rows' sums from block to
-    block, so the bits do not depend on the blocks.  On six-blobs the batch
-    fits one block.  The step holds one block's unit planes and the (b, d)
-    rows; the planes are views of `work`'s buffers (a new Workspace's when
-    not given), so the steps of an epoch can share one workspace: a smaller
-    last batch takes views of their fronts.
+    loss with its gradient runs: each block builds the snapshot units of the
+    b points toward its references and their mean, then, in the same
+    buffers, the current units, their point sums, its estimate and its
+    gradient terms, and direction_point_grads carries the rows' sums from
+    block to block, so the bits do not depend on the blocks.  On six-blobs
+    the batch fits one block.  The step holds one block's unit planes and
+    the (b, d) rows; the planes are views of `work`'s buffers (a new
+    Workspace's when not given), so the steps of an epoch can share one
+    workspace: a smaller last batch takes views of their fronts.
     """
     b, d = yb.shape
     work = Workspace() if work is None else work
     grads = None
     for block in reference_blocks(refs.count, b * d):
-        units, dist, mask = unit_directions(yb, refs.quantiles[block], work)
-        estimate = control_variate_estimate(bank, point_sums(units, work) / b, bank.batch_mean(batch, block), block)
+        ref_points = refs.quantiles[block]
+        snapshot_mean = bank.batch_mean(batch, ref_points, work)
+        units, dist, mask = unit_directions(yb, ref_points, work)
+        estimate = control_variate_estimate(bank, point_sums(units, work) / b, snapshot_mean, block)
         if mask.all():  # every pair kept, so every dist is at least COINCIDENCE_EPS
             scale = np.multiply(refs.count * b, dist, out=work.take("scale", dist.shape))
             np.divide(2.0, scale, out=scale)
@@ -243,6 +246,10 @@ def train(
     one size within MAX_EXACT_SIZE, and then no thread starts. Every distance
     is in its record when train returns; a W2 that raises is raised from
     train, and no thread outlives it.
+
+    In memory-bank mode the variance columns follow the same cadence: an
+    on-cadence record after epoch 0 carries crude_var and control_var (0.0
+    at batch_size = n), and the records between carry None.
     """
     cfg.validate(source_feats.n, target.n)
     if fmap.out_dim != source_feats.dim:
@@ -318,11 +325,12 @@ def train(
             if bank is None:
                 loss, moments = quantile_loss_on_points(adapted, refs, want_grad=False)[0], None
             else:
-                # one pass over the references gives the record's loss, the
-                # variance moments against the outgoing snapshot and, when due,
-                # the refresh for the next epoch
+                # one pass over the references gives the record's loss, on the
+                # W2 cadence the variance moments against the outgoing snapshot
+                # and, when due, the refresh for the next epoch
                 refresh = epoch < cfg.epochs and epoch % cfg.snapshot_every == 0
-                loss, moments = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=epoch > 0 and cfg.batch_size < n)
+                want_moments = epoch > 0 and on_cadence and cfg.batch_size < n
+                loss, moments = sweep(bank, PointCloud(adapted), refs, refresh=refresh, moments=want_moments)
             rec = evaluate_epoch(adapted, source_feats, loss, paired, epoch=epoch)
             if on_cadence and exact_w2:
                 write_w2(loss_mod.BLOCK_BYTES - adapted.nbytes)
@@ -331,6 +339,8 @@ def train(
                 rec.flag = "wasserstein_skipped"
             if moments is not None:
                 rec.crude_var, rec.control_var = lemma_variances(moments, n, cfg.batch_size)
+            elif bank is not None and epoch > 0 and not on_cadence:
+                rec.crude_var = rec.control_var = None
             rec.grad_norm = grad_norm
             if trace.aborted_steps > aborted:
                 rec.flag = ";".join(x for x in (rec.flag, "nonfinite_grad") if x)

@@ -93,20 +93,23 @@ class TestRefreshSnapshot:
     def test_idempotent_at_fixed_parameters(self):
         _, refs, current = make_instance(6)
         bank = refresh_snapshot(initialize_bank(current, refs), current, refs)
-        avgs, units = bank.snapshot_avgs.copy(), bank.snapshot_units.copy()
+        avgs, points = bank.snapshot_avgs.copy(), bank.snapshot_points.copy()
         refresh_snapshot(bank, current, refs)
         np.testing.assert_array_equal(bank.snapshot_avgs, avgs)
-        np.testing.assert_array_equal(bank.snapshot_units, units)
+        np.testing.assert_array_equal(bank.snapshot_points, points)
 
-    def test_refresh_overwrites_the_one_snapshot_array(self):
+    def test_refresh_stores_the_snapshot_cloud(self):
         rng, refs, current = make_instance(21)
         bank = initialize_bank(current, refs)
-        units = bank.snapshot_units
+        points, avgs = bank.snapshot_points, bank.snapshot_avgs
         moved = PointCloud(current.points + 0.1 * rng.normals(current.points.shape))
         assert refresh_snapshot(bank, moved, refs) is bank
-        assert bank.snapshot_units is units
-        np.testing.assert_array_equal(units, per_sample_units(moved.points, refs.quantiles).transpose(0, 2, 1))
+        # the refresh rebinds the bank's arrays, so the outgoing snapshot is left as it was
+        assert bank.snapshot_points is moved.points and points is current.points
+        assert avgs.tobytes() == initialize_bank(current, refs).snapshot_avgs.tobytes()
         np.testing.assert_array_equal(bank.snapshot_avgs, initialize_bank(moved, refs).snapshot_avgs)
+        # the bank holds n + R points, not the n x R units
+        assert bank.snapshot_points.nbytes + bank.snapshot_avgs.nbytes == 8 * moved.dim * (moved.n + refs.count)
 
     def test_small_parameter_step_moves_averages_little(self):
         # empirical Lipschitz probe: a small adapter step perturbs the
@@ -133,7 +136,7 @@ class TestRefreshSnapshot:
         with pytest.raises(DimensionMismatchError):
             refresh_snapshot(bank, PointCloud(current.points[: refs.count]), refs)
         moved = PointCloud(current.points + 0.1)
-        assert refresh_snapshot(bank, moved, refs).snapshot_units.shape[1] == current.n
+        assert refresh_snapshot(bank, moved, refs).snapshot_points.shape[0] == current.n
 
     def test_cloud_dimension_must_match_references(self):
         _, refs, _ = make_instance(20)
@@ -149,19 +152,22 @@ class TestRefreshSnapshot:
         "d, ref_count", [pytest.param(d, r, id=f"{d}" if r > 1 else f"{d}-R1") for r in (6, 1) for d in (2, 8)]
     )
     def test_batch_slice_equals_batch_build(self, d, ref_count):
-        # the minibatch step reads a batch's snapshot units out of the bank
-        # instead of rebuilding them, so both routes must agree bit for bit;
-        # the last point sits on a reference, so a masked zero row is covered
+        # the minibatch step rebuilds a batch's snapshot units from the bank's
+        # cloud, and the refreshing sweep built them for the whole cloud: a
+        # batch's rows of those, summed in batch order, must give its mean bit
+        # for bit; the last point sits on a reference, so a masked zero row is covered
         _, refs, current = make_instance(10 + d, n=30, d=d, ref_count=ref_count)
         on_ref = min(2, ref_count - 1)
         current = PointCloud(np.vstack([current.points, refs.quantiles[on_ref : on_ref + 1]]))
         bank = initialize_bank(current, refs)
-        assert bank.snapshot_units.shape == (d, 31, ref_count)
+        rows = np.ascontiguousarray(per_sample_units(current.points, refs.quantiles).transpose(0, 2, 1))  # (d, n, R)
         for idx in ((0, 1, 2), (30, 3, 17, 4), (5,), (30,), tuple(range(30, -1, -1))):
             idx = np.asarray(idx)
             built = per_sample_units(current.points[idx], refs.quantiles)
-            np.testing.assert_array_equal(bank.snapshot_units[:, idx], built.transpose(0, 2, 1))
-            assert row_sums(bank.snapshot_units[:, idx]).tobytes() == point_sums(built).tobytes()
+            np.testing.assert_array_equal(rows[:, idx], built.transpose(0, 2, 1))
+            want = row_sums(rows[:, idx]) / len(idx)
+            assert bank.batch_mean(idx, refs.quantiles).tobytes() == want.tobytes()
+            assert (point_sums(built) / len(idx)).tobytes() == want.tobytes()
 
 
 class TestEstimatorVariance:
@@ -266,7 +272,7 @@ class TestEstimatorVariance:
         crude = control = cross = s_sq = 0.0
         batches = [np.asarray(combo, dtype=int) for combo in enumerate_batches(9, 4)]
         for batch in batches:
-            a_hat, s_hat = current_bank.batch_mean(batch), bank.batch_mean(batch)
+            a_hat, s_hat = current_bank.batch_mean(batch, refs.quantiles), bank.batch_mean(batch, refs.quantiles)
             crude += float(np.mean(np.sum((a_hat - a_mean) ** 2, axis=1)))
             est = control_variate_estimate(bank, a_hat, s_hat)
             control += float(np.mean(np.sum((est - a_mean) ** 2, axis=1)))

@@ -1,4 +1,3 @@
-import hashlib
 import importlib
 import os
 import sys
@@ -364,7 +363,7 @@ def kernel_pairs(points, refs, batch, snapshot):
     got_units, got_dist, got_mask = unit_directions(points, refs.quantiles)
     got_total, got_grads = quantile_loss_on_points(points, refs)
     snap_units = broadcast_units(snapshot, refs.quantiles)[2]
-    bank = MemoryBank(snapshot_units=np.ascontiguousarray(snap_units.transpose(2, 1, 0)), snapshot_avgs=snap_units.mean(axis=1))
+    bank = MemoryBank(snapshot_points=snapshot, snapshot_avgs=snap_units.mean(axis=1))
     batch_grads, batch_scale = broadcast_minibatch_grads(points[batch], batch, snap_units, refs)
     got_moments = population_moments(per_sample_units(points, refs.quantiles), per_sample_units(snapshot, refs.quantiles))
     pairs = [
@@ -422,17 +421,19 @@ def blocked_outputs(points, refs, snapshot):
         cloud, snap = PointCloud(points), PointCloud(snapshot)
         source_refs = select_references(snap, min(refs.count, m), seed=1)
         bank = initialize_bank(snap, refs)
+        batch = np.arange(m)[::-2]
         outs += [
             ("target_indices", source_refs.target_indices),
-            ("snapshot_units", bank.snapshot_units.copy()),
             ("snapshot_avgs", bank.snapshot_avgs),
+            # the step rebuilds its batch's snapshot units one reference block at a time
+            ("minibatch_grads", minibatch_point_grads(points[batch], batch, bank, refs)),
         ]
         moments = sweep(bank, cloud, refs).moments
         outs += [("moments", np.array(moments)), ("variances", lemma_variances(moments, m, 1))]
         refreshed = sweep(bank, cloud, refs, refresh=True).moments
         outs += [
             ("refresh_moments", np.array(refreshed)),
-            ("refreshed_units", bank.snapshot_units),
+            ("refreshed_points", bank.snapshot_points),
             ("refreshed_avgs", bank.snapshot_avgs),
             ("diagnostics", np.array(astuple(estimator_variance(cloud, snap, refs, b=1)))),
         ]
@@ -523,15 +524,20 @@ class TestBoundedMemory:
             assert self.peak_bytes(call) <= self.BLOCKS * BLOCK_BYTES
 
     def test_bank_record_holds_one_snapshot(self, clouds):
+        """The bank holds its snapshot cloud and means, n + R points, and no (d, n, R) units."""
         source, current, refs = clouds
-        snapshot_bytes = 8 * self.D * self.R * self.N
+        snapshot_bytes = 8 * self.D * (self.N + self.R)
+        banks = []
 
         def record():
             bank = initialize_bank(source, refs)
             sweep(bank, current, refs, refresh=True)
             sweep(bank, source, refs)
+            banks.append(bank)
 
         assert self.peak_bytes(record) <= snapshot_bytes + self.BLOCKS * BLOCK_BYTES
+        bank = banks[0]
+        assert bank.snapshot_points.nbytes + bank.snapshot_avgs.nbytes == snapshot_bytes
 
     # The two bounds below are the tracemalloc peaks measured when every block
     # allocated its own arrays (3.54 and 3.39 BLOCK_BYTES), plus one block
@@ -605,7 +611,11 @@ class TestSweepLoss:
 
 
 class TestThreadedBlocks:
-    """index_averages' passes, reference selection, the sweep and the loss alone, give the same bits on one thread as on two."""
+    """index_averages' passes, reference selection, the sweep and the loss alone, give the same bits on one thread as on two.
+
+    The sweep takes its moments, so each block rebuilds its snapshot units
+    from the bank's cloud, with several blocks in each thread's range.
+    """
 
     @staticmethod
     def outputs(source, current, count):
@@ -616,7 +626,7 @@ class TestThreadedBlocks:
             refs.target_indices.tobytes(),
             swept.loss.hex(),
             np.asarray(swept.moments).tobytes(),
-            hashlib.sha256(bank.snapshot_units).hexdigest(),
+            bank.snapshot_points.tobytes(),
             bank.snapshot_avgs.tobytes(),
             quantile_loss_on_points(current.points, refs, want_grad=False)[0].hex(),
         )
@@ -636,18 +646,27 @@ class TestThreadedBlocks:
         want = self.outputs(source, current, count)
 
         threads = set()
+        snapshot_builds = []
 
         def recorded(points, ref_points, work=None):
             threads.add(threading.get_ident())
             time.sleep(1e-3)  # hand over the GIL, so that both threads take blocks
             return unit_directions(points, ref_points, work)
 
+        def recorded_snapshot(points, ref_points, work=None):
+            snapshot_builds.append((threading.get_ident(), len(ref_points)))
+            return recorded(points, ref_points, work)
+
         monkeypatch.setattr("quantmatch.loss.unit_directions", recorded)
-        monkeypatch.setattr("quantmatch.bank.unit_directions", recorded)
+        monkeypatch.setattr("quantmatch.bank.unit_directions", recorded_snapshot)
         monkeypatch.setattr("quantmatch.loss.THREADS", 2)
         assert self.outputs(source, current, count) == want
         # the calling thread and each pass's helper (a new thread, so idents may differ between passes)
         assert threading.get_ident() in threads and len(threads) >= 2
+        # one snapshot build per block of the refreshing sweep, several on each of its two threads
+        assert sum(size for _, size in snapshot_builds) == count
+        per_thread = [sum(ident == thread for ident, _ in snapshot_builds) for thread in {ident for ident, _ in snapshot_builds}]
+        assert len(per_thread) == 2 and min(per_thread) >= 2, per_thread
 
     def test_blocks_halve_when_threaded(self, monkeypatch):
         monkeypatch.setattr("quantmatch.loss.BLOCK_BYTES", 64)  # 4 references against a plane of 2 values
@@ -933,13 +952,16 @@ def assert_buffered_is_fresh(points, ref_points, snapshot):
         assert g.shape == w.shape and g.flags.c_contiguous and g.tobytes() == w.tobytes(), name
     want_sums = row_sums(np.ascontiguousarray(want[0].transpose(0, 2, 1)))
     assert point_sums(got[0], work).tobytes() == want_sums.tobytes()
-    # the snapshot as the bank passes it: a transposed view of point-major planes
-    s_units = np.ascontiguousarray(fresh_unit_directions(snapshot, ref_points)[0].transpose(0, 2, 1)).transpose(0, 2, 1)
+    s_units = fresh_unit_directions(snapshot, ref_points)[0]
     a_mean, s_mean = want_sums / m, row_sums(np.ascontiguousarray(s_units.transpose(0, 2, 1))) / m
     want_moments = np.array(fresh_moments(want[0], s_units, a_mean, s_mean))
     for means in ((a_mean, s_mean), (None, None)):
         got_moments = np.array(population_moments(got[0], s_units, *means, work))
         assert got_moments.tobytes() == want_moments.tobytes(), means
+    # as the sweep passes the snapshot: planes of its own, which the deviations overwrite
+    own = s_units.copy()
+    got_moments = np.array(population_moments(got[0], own, a_mean, s_mean, work, own))
+    assert got_moments.tobytes() == want_moments.tobytes()
 
 
 class TestWorkspaces:
@@ -1036,6 +1058,8 @@ class TestWorkspaces:
         work = Workspace()  # an epoch's steps share one workspace
         record(lambda: [minibatch_point_grads(current.points[batch], batch, bank, refs, work) for batch in (np.arange(16), np.arange(16, 30))])
         one_slot = {4, 5}  # the loss with its gradient runs on slot 0; the step's planes stay in the epoch's buffers
+        two_workspaces = {2}  # the sweep with moments builds each block's snapshot units in its slot's second workspace
         for i, bases in enumerate(passes):
             assert len(bases) >= 4, i
-            assert len({id(base) for base in bases}) <= (1 if i in one_slot else threads), i
+            per_slot = 2 if i in two_workspaces else 1
+            assert len({id(base) for base in bases}) <= per_slot * (1 if i in one_slot else threads), i

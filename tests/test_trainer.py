@@ -200,7 +200,9 @@ class TestForwardCount:
 class TestUnitBuildCount:
     # in memory-bank mode a record builds the units of its R x n pairs once,
     # for the loss, the bank means, the variance moments and the refresh
-    # together, and each step builds the R x b pairs of its batch
+    # together, and a record with moments (after epoch 0, on the W2 cadence,
+    # with b < n) also builds the snapshot's R x n pairs; each step builds
+    # the R x b pairs of its batch at the snapshot and at the current parameters
     @pytest.mark.parametrize("batch_size, snapshot_every", [(64, 1), (64, 2), (510, 1)])
     def test_one_unit_build_per_record(self, monkeypatch, batch_size, snapshot_every):
         clean, target, src, fmap = sixblobs_setup()
@@ -217,9 +219,10 @@ class TestUnitBuildCount:
         train(src, target.cloud, Adapter.affine(2), fmap, cfg, paired=True)
         count, n, records = cfg.reference_count, clean.n, cfg.epochs + 1
         steps = cfg.epochs * -(-n // batch_size)
+        moments = int(batch_size < n)  # the last record alone is on the cadence after epoch 0
         # select_references builds the source's pairs once, in one block as every pass here
-        assert len(pairs) == 1 + records + steps
-        assert sum(pairs) == count * src.n + records * count * n + cfg.epochs * count * n
+        assert len(pairs) == 1 + records + moments + 2 * steps
+        assert sum(pairs) == count * src.n + (records + moments) * count * n + 2 * cfg.epochs * count * n
 
 
 class TestTrendBehaviors:
@@ -344,7 +347,7 @@ class TestMinibatchGradient:
         bank = initialize_bank(snapshot, refs)
         batch = np.asarray(rng.sample_without_replacement(n, b), dtype=int)
         yb = snapshot.points[batch] + 0.3 * rng.normals((b, d))
-        s_hat = bank.batch_mean(batch)
+        s_hat = bank.batch_mean(batch, refs.quantiles)
 
         def objective(flat):
             points = flat.reshape(b, d)
@@ -412,7 +415,7 @@ class TestVarianceColumns:
         # the batch stream is a deterministic prefix, so a run cut after j
         # epochs ends at the parameters the longer run holds at epoch j
         clean, target, src, fmap = sixblobs_setup(noise=0.1)
-        cfg = cfg_for(clean.n, epochs=4, batch_size=64, full_batch=False, snapshot_every=snapshot_every)
+        cfg = cfg_for(clean.n, epochs=4, batch_size=64, full_batch=False, snapshot_every=snapshot_every, wasserstein_every=1)
         adapter = Adapter.affine(2)
         _, trace = train(src, target.cloud, adapter, fmap, cfg)
         refs = select_references(src, cfg.reference_count, cfg.seed)
@@ -434,8 +437,28 @@ class TestVarianceColumns:
         # that keep each snapshot within ~1e-10 of the current parameters: the variance
         # of a - s is then tiny, and scales as the square of the learning rate
         clean, target, src, fmap = sixblobs_setup()
-        cfg = cfg_for(clean.n, epochs=6, batch_size=32, full_batch=False, learning_rate=1e-10)
+        cfg = cfg_for(clean.n, epochs=6, batch_size=32, full_batch=False, learning_rate=1e-10, wasserstein_every=1)
         control = train(src, target.cloud, Adapter.affine(2), fmap, cfg)[1].column("control_var")[1:]
         smaller = train(src, target.cloud, Adapter.affine(2), fmap, replace(cfg, learning_rate=1e-11))[1].column("control_var")[1:]
         assert np.all(control > 0)
         np.testing.assert_allclose(control, 100.0 * smaller, rtol=1e-3)
+
+    @pytest.mark.parametrize("batch_size", [64, 510])
+    def test_columns_follow_the_w2_cadence(self, batch_size):
+        # records 0, 3, 6 and 7 are on the cadence; the bank records between take no moments
+        clean, target, src, fmap = sixblobs_setup(noise=0.1)
+        cfg = cfg_for(clean.n, epochs=7, batch_size=batch_size, full_batch=False, wasserstein_every=3)
+        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, cfg)
+        on_cadence = [r.epoch for r in trace.records if r.wasserstein2 is not None]
+        assert on_cadence == [0, 3, 6, 7]
+        for r in trace.records:
+            columns = (r.crude_var, r.control_var)
+            if r.epoch == 0 or (r.epoch in on_cadence and batch_size == clean.n):
+                assert columns == (0.0, 0.0), r.epoch
+            elif r.epoch in on_cadence:
+                assert r.crude_var > r.control_var > 0, r.epoch
+            else:
+                assert columns == (None, None), r.epoch
+        # and a full-batch run keeps its zeros on every record
+        _, trace = train(src, target.cloud, Adapter.affine(2), fmap, replace(cfg, full_batch=True, batch_size=clean.n))
+        assert all((r.crude_var, r.control_var) == (0.0, 0.0) for r in trace.records)
